@@ -4,15 +4,16 @@ Four configurations of :class:`repro.runtime.StreamingIDG` grid the same
 bench plan:
 
 ``disabled``
-    ``max_retries=0`` and no fault plan — the retry layer is never
-    constructed and the hot loop is the plain streaming path.  This is the
-    baseline the acceptance gate compares against.
+    ``max_retries=0`` and no fault plan — the default.  Every stage call
+    still goes through the :class:`~repro.runtime.WorkGroupRunner`, in its
+    fail-fast mode: one call, no retry bookkeeping, the first failure
+    re-raised as ``WorkGroupError``.  This is the baseline the acceptance
+    gate compares against.
 ``armed``
-    ``max_retries=2`` with no faults firing — every stage call goes through
-    the :class:`~repro.runtime.WorkGroupRunner`, so this is the *worst case*
-    for the disabled path's overhead (the runner does strictly more work
-    than the branch that skips it).  The gate asserts it stays within 2% of
-    the baseline makespan.
+    ``max_retries=2`` with no faults firing — the runner's tolerant mode
+    (attempt loop, fault-plan hooks), so this is the *worst case* clean-run
+    cost of fault tolerance.  The gate asserts it stays within 2% of the
+    baseline makespan.
 ``recovery``
     Two transient injected faults (``times=1``, zero backoff) — measures the
     cost of re-executing faulted work groups.
@@ -162,8 +163,8 @@ def test_bench_fault_recovery(bench_plan, bench_obs, bench_vis, bench_idg,
     )
 
     # Acceptance gate: even with the retry layer *armed* (strictly more work
-    # than the disabled/PR-4 path, which never constructs it), the clean-run
-    # makespan stays within 2% of baseline.
+    # than the fail-fast default), the clean-run makespan stays within 2% of
+    # baseline.
     assert overhead["armed"] <= OVERHEAD_GATE, (
         f"armed retry layer costs {100 * (overhead['armed'] - 1):.2f}% "
         f"(gate: {100 * (OVERHEAD_GATE - 1):.0f}%)"

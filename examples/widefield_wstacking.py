@@ -10,7 +10,8 @@ the number of required W-planes".
 
 This example builds a compact, *wide-field* observation (a 0.6 km array
 imaged over ~8 degrees, where the w kernel support reaches ~6 uv cells),
-then sweeps both remedies and prints the accuracy/cost matrix.
+then sweeps both remedies through the w-stacked FT processor
+(``make_ftprocessor(kind="wstack")``) and prints the accuracy/cost matrix.
 
 Run:  python examples/widefield_wstacking.py
 """
@@ -20,7 +21,7 @@ import time
 import numpy as np
 
 import repro
-from repro.core.wstack import WStackedIDG
+from repro.imaging.pipeline import ImagingContext, make_ftprocessor
 from repro.kernels.wkernel import required_w_planes, w_kernel_support
 
 
@@ -55,13 +56,15 @@ def main() -> None:
         idg = repro.IDG(gridspec, repro.IDGConfig(
             subgrid_size=subgrid, kernel_support=max(2, subgrid // 4), time_max=8,
         ))
-        stack = WStackedIDG(idg, n_planes=planes)
-        layers = stack.make_layers(obs.uvw_m, obs.frequencies_hz, baselines)
+        ctx = ImagingContext(idg=idg, uvw_m=obs.uvw_m,
+                             frequencies_hz=obs.frequencies_hz,
+                             baselines=baselines)
+        stack = make_ftprocessor(ctx, kind="wstack", n_w_planes=planes)
         t0 = time.perf_counter()
-        predicted = stack.predict(model, layers, obs.uvw_m)
+        predicted = stack.predict(model)
         elapsed = time.perf_counter() - t0
         covered = np.zeros(vis.shape[:3], dtype=bool)
-        for layer in layers:
+        for layer in stack._field.layers:
             for item in layer.plan:
                 covered[item.baseline, item.time_start:item.time_end,
                         item.channel_start:item.channel_end] = True

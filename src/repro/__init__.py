@@ -31,7 +31,6 @@ paper-versus-measured record of every table and figure.
 
 from repro.gridspec import GridSpec
 from repro.core.pipeline import IDG, IDGConfig
-from repro.core.wstack import WStackedIDG
 from repro.core.plan import Plan, PlanStatistics, WorkItem
 from repro.telescope.observation import (
     Observation,
@@ -67,7 +66,6 @@ __all__ = [
     "GridSpec",
     "IDG",
     "IDGConfig",
-    "WStackedIDG",
     "Plan",
     "PlanStatistics",
     "WorkItem",

@@ -34,7 +34,7 @@ from repro.core.scratch import (
     thread_arena,
     total_arena_nbytes,
 )
-from repro.core.wstack import WLayer, WStackedIDG, split_plan_by_w
+from repro.core.wstack import WLayer, split_plan_by_w
 
 __all__ = [
     "Plan",
@@ -59,6 +59,5 @@ __all__ = [
     "clear_thread_arena",
     "total_arena_nbytes",
     "WLayer",
-    "WStackedIDG",
     "split_plan_by_w",
 ]

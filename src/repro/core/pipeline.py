@@ -6,8 +6,10 @@
 * ``degrid`` = splitter -> inverse subgrid FFTs -> degridder,
 
 processing the plan's work items in *work groups* (Fig 6) — the unit the
-parallel executor and the GPU stream scheduler of the performance model also
-operate on.
+parallel executors and the GPU stream scheduler of the performance model also
+operate on.  The per-work-group stage program itself lives in
+:mod:`repro.runtime.program`, shared by all four executors; :class:`IDG`
+runs it as a plain loop.
 
 Typical use::
 
@@ -29,7 +31,6 @@ import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.aterms.schedule import ATermSchedule
-from repro.constants import COMPLEX_DTYPE
 from repro.core.gridder import subgrid_lmn
 from repro.core.plan import Plan
 from repro.data.store import ChunkedVisibilitySource
@@ -122,8 +123,8 @@ class IDGConfig:
     max_retries:
         Fault tolerance (DESIGN.md §11): retry attempts per work-group
         stage call before the group is quarantined to a dead letter.  The
-        default 0 keeps the legacy fail-fast behaviour (first exception
-        propagates) with zero overhead.
+        default 0 fails fast: the first failing stage raises
+        :class:`~repro.runtime.recovery.WorkGroupError`.
     retry_backoff_s:
         Backoff before the first retry; subsequent retries back off
         exponentially (see :class:`repro.runtime.recovery.RetryPolicy`).
@@ -171,7 +172,7 @@ class IDG:
         #: The kernel backend every executor dispatches through.
         self.backend = resolve_backend(self.config.backend)
         #: Fault report of the most recent tolerant grid/degrid call
-        #: (``None`` when the fault-tolerance layer was inactive).
+        #: (``None`` when the runner failed fast).
         self.last_fault_report = None
 
     # ------------------------------------------------------------- planning
@@ -222,22 +223,6 @@ class IDG:
             for station, interval in sorted(keys)
         }
 
-    def _work_group_runner(self, faults=None):
-        """A :class:`~repro.runtime.recovery.WorkGroupRunner` when fault
-        tolerance is active (``max_retries > 0`` or a fault plan is
-        installed), else ``None`` — the legacy fail-fast loop runs
-        unchanged.  Imported lazily: :mod:`repro.runtime` imports this
-        module at class-definition time."""
-        if self.config.max_retries <= 0 and faults is None:
-            return None
-        from repro.runtime.recovery import RetryPolicy, WorkGroupRunner
-
-        policy = RetryPolicy(
-            max_retries=self.config.max_retries,
-            backoff_s=self.config.retry_backoff_s,
-        )
-        return WorkGroupRunner(policy, faults=faults)
-
     # ------------------------------------------------------------- gridding
 
     def grid(
@@ -248,8 +233,9 @@ class IDG:
         aterms: ATermGenerator | None = None,
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
-        faults=None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
+        *,
+        faults=None,
     ) -> np.ndarray:
         """Grid a visibility set onto the master grid.
 
@@ -273,91 +259,38 @@ class IDG:
             Optional ``(n_baselines, n_times, n_channels)`` data flags
             (RFI etc.); flagged samples are gridded as zeros — remember to
             subtract their count from the image's ``weight_sum``.
-        faults:
-            Optional :class:`~repro.runtime.faults.FaultPlan` for
-            deterministic fault injection (tests, benchmarks).
         aterm_fields:
             Pre-evaluated Jones fields (the :meth:`aterm_fields` mapping),
             overriding evaluation from ``aterms``.  The serving layer passes
             cached fields here so coalesced jobs share one evaluation.
+        faults:
+            Optional :class:`~repro.runtime.faults.FaultPlan` for
+            deterministic fault injection (tests, benchmarks).
 
         Returns
         -------
-        The ``(4, G, G)`` master grid.  With fault tolerance active
-        (``config.max_retries > 0`` or ``faults``), quarantined work groups
-        are excluded from it and reported on ``last_fault_report`` instead
-        of raising.
+        The ``(4, G, G)`` master grid.  By default the first failing stage
+        raises :class:`~repro.runtime.recovery.WorkGroupError`; with fault
+        tolerance active (``config.max_retries > 0`` or ``faults``),
+        quarantined work groups are excluded from the grid and reported on
+        ``last_fault_report`` instead.
+
+        Every executor accepts these keywords (DESIGN.md §8); this one runs
+        the work-group program (:mod:`repro.runtime.program`) as a plain
+        loop in plan order.
         """
-        self._check_shapes(plan, uvw_m, visibilities)
-        visibilities = prepare_visibilities(visibilities, flags)
-        source = (
-            visibilities
-            if isinstance(visibilities, ChunkedVisibilitySource) else None
+        # Imported here: repro.runtime imports this module at import time.
+        from repro.runtime.program import WorkGroupProgram
+
+        program = WorkGroupProgram.gridding(
+            self, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
+            flags=flags, aterm_fields=aterm_fields, faults=faults,
         )
-        if grid is None:
-            grid = self.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else self.aterm_fields(plan, aterms)
-        )
-        backend = self.backend
-        runner = self._work_group_runner(faults)
-        self.last_fault_report = runner.report if runner is not None else None
-        groups = list(plan.work_groups(self.config.work_group_size))
-        if runner is not None:
-            runner.report.n_groups = len(groups)
-        for group, (start, stop) in enumerate(groups):
-            if runner is None:
-                subgrids = backend.grid_work_group(
-                    plan, start, stop, uvw_m, visibilities, self.taper,
-                    lmn=self.lmn, aterm_fields=fields, vis_batch=self.config.vis_batch,
-                    channel_recurrence=self.config.channel_recurrence,
-                    batched=self.config.batched,
-                )
-                backend.add_subgrids(
-                    grid, plan, backend.subgrids_to_fourier(subgrids), start=start
-                )
-                if source is not None:
-                    source.drop_caches()
-                continue
-            from repro.runtime.recovery import Quarantined, group_visibility_count
-
-            n_vis = group_visibility_count(plan, start, stop)
-
-            def grid_body(start: int = start, stop: int = stop) -> np.ndarray:
-                return backend.grid_work_group(
-                    plan, start, stop, uvw_m, visibilities, self.taper,
-                    lmn=self.lmn, aterm_fields=fields, vis_batch=self.config.vis_batch,
-                    channel_recurrence=self.config.channel_recurrence,
-                    batched=self.config.batched,
-                )
-
-            subgrids = runner.run(
-                "gridder", group, grid_body,
-                start=start, stop=stop, n_visibilities=n_vis,
-            )
-            if isinstance(subgrids, Quarantined):
-                continue
-            fourier = runner.run(
-                "subgrid_fft", group,
-                lambda subgrids=subgrids: backend.subgrids_to_fourier(subgrids),
-                start=start, stop=stop, n_visibilities=n_vis,
-            )
-            if isinstance(fourier, Quarantined):
-                continue
-            result = runner.run(
-                "adder", group,
-                lambda start=start, fourier=fourier: backend.add_subgrids(
-                    grid, plan, fourier, start=start
-                ),
-                start=start, stop=stop, n_visibilities=n_vis,
-            )
-            if not isinstance(result, Quarantined):
-                runner.report.n_groups_completed += 1
-            if source is not None:
-                source.drop_caches()
-        return grid
+        self.last_fault_report = program.fault_report
+        for group in range(len(program.groups)):
+            program.adder(group, program.grid_group(group))
+            program.drop_caches()
+        return program.finish()
 
     # ----------------------------------------------------------- degridding
 
@@ -367,9 +300,10 @@ class IDG:
         uvw_m: np.ndarray,
         grid: np.ndarray,
         aterms: ATermGenerator | None = None,
-        faults=None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         out: np.ndarray | None = None,
+        *,
+        faults=None,
     ) -> np.ndarray:
         """Predict visibilities from a model grid (degridding).
 
@@ -383,62 +317,19 @@ class IDG:
         :class:`~repro.data.store.DatasetWriter` visibility map, which lets
         predictions stream to disk instead of RAM) and is returned.
         """
-        n_bl, n_times, _ = uvw_m.shape
-        expected = (n_bl, n_times, plan.n_channels, 2, 2)
-        if out is None:
-            out = np.zeros(expected, dtype=COMPLEX_DTYPE)
-        elif out.shape != expected:
-            raise ValueError(f"out shape {out.shape} != {expected}")
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else self.aterm_fields(plan, aterms)
+        from repro.runtime.program import WorkGroupProgram
+
+        program = WorkGroupProgram.degridding(
+            self, plan, uvw_m, grid, aterms=aterms, aterm_fields=aterm_fields,
+            out=out, faults=faults,
         )
-        backend = self.backend
-        runner = self._work_group_runner(faults)
-        self.last_fault_report = runner.report if runner is not None else None
-        groups = list(plan.work_groups(self.config.work_group_size))
-        if runner is not None:
-            runner.report.n_groups = len(groups)
-        for group, (start, stop) in enumerate(groups):
-            def degrid_body(start: int = start, stop: int = stop) -> None:
-                patches = backend.split_subgrids(grid, plan, start, stop)
-                backend.degrid_work_group(
-                    plan, start, stop, backend.subgrids_to_image(patches),
-                    uvw_m, out, self.taper,
-                    lmn=self.lmn, aterm_fields=fields,
-                    vis_batch=self.config.vis_batch,
-                    channel_recurrence=self.config.channel_recurrence,
-                    batched=self.config.batched,
-                )
-
-            if runner is None:
-                degrid_body()
-                continue
-            from repro.runtime.recovery import Quarantined, group_visibility_count
-
-            result = runner.run(
-                "degridder", group, degrid_body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-            if not isinstance(result, Quarantined):
-                runner.report.n_groups_completed += 1
-        return out
+        self.last_fault_report = program.fault_report
+        for group in range(len(program.groups)):
+            program.degrid_group(group)
+        return program.finish()
 
     # ------------------------------------------------------------- utility
 
     def with_config(self, **kwargs) -> "IDG":
         """A copy of this IDG with some configuration fields replaced."""
         return IDG(self.gridspec, replace(self.config, **kwargs))
-
-    def _check_shapes(self, plan: Plan, uvw_m: np.ndarray, visibilities: np.ndarray) -> None:
-        n_bl, n_times, three = uvw_m.shape
-        if three != 3:
-            raise ValueError("uvw_m must have a trailing axis of 3")
-        expected = (n_bl, n_times, plan.n_channels, 2, 2)
-        if visibilities.shape != expected:
-            raise ValueError(
-                f"visibilities shape {visibilities.shape} does not match {expected}"
-            )
-        if plan.flagged.shape != (n_bl, n_times, plan.n_channels):
-            raise ValueError("plan was built for a different observation shape")

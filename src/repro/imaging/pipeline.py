@@ -105,10 +105,11 @@ def make_engine(
 ) -> Any:
     """Wrap an IDG facade in one of the four executors.
 
-    All executors share the ``grid(plan, uvw, vis, aterms=..., flags=...)``
-    / ``degrid(plan, uvw, grid, aterms=...)`` surface and produce
-    bit-identical results, so callers can treat the return value as an
-    opaque gridding engine.
+    All executors run the same work-group program and accept the same
+    keywords — ``grid(plan, uvw, vis, aterms=, grid=, flags=,
+    aterm_fields=)`` / ``degrid(plan, uvw, grid, aterms=, aterm_fields=,
+    out=)`` — and produce bit-identical results, so callers can treat the
+    return value as an opaque gridding engine.
     """
     if executor == "serial":
         return idg
@@ -296,7 +297,7 @@ class _Field:
         frequencies_hz: np.ndarray,
         baselines: np.ndarray,
         aterm_schedule: ATermSchedule | None,
-        n_w_planes: int,
+        n_w_planes: int | None,
     ):
         self.idg = idg
         self.engine = engine
@@ -304,9 +305,11 @@ class _Field:
         self.plan = idg.make_plan(
             uvw_m, frequencies_hz, baselines, aterm_schedule=aterm_schedule
         )
+        # ``None``: a layer-less 2-D field; otherwise exactly ``n_w_planes``
+        # w layers (fewer only when a layer would be empty).
         self.layers: list[WLayer] | None = (
             None
-            if n_w_planes <= 1
+            if n_w_planes is None
             else split_plan_by_w(self.plan, uvw_m, n_w_planes)
         )
 
@@ -438,7 +441,7 @@ class FTProcessor(Protocol):
 class _SingleFieldProcessor:
     """Shared implementation of the un-faceted processors."""
 
-    def __init__(self, ctx: ImagingContext, n_w_planes: int):
+    def __init__(self, ctx: ImagingContext, n_w_planes: int | None):
         self.ctx = ctx
         self._field = _Field(
             ctx.idg,
@@ -486,7 +489,7 @@ class TwoDimFTProcessor(_SingleFieldProcessor):
     kind = "2d"
 
     def __init__(self, ctx: ImagingContext):
-        super().__init__(ctx, n_w_planes=1)
+        super().__init__(ctx, n_w_planes=None)
 
 
 class WStackFTProcessor(_SingleFieldProcessor):
@@ -497,10 +500,10 @@ class WStackFTProcessor(_SingleFieldProcessor):
     def __init__(self, ctx: ImagingContext, n_w_planes: int = 4):
         if n_w_planes <= 0:
             raise ValueError("n_w_planes must be positive")
-        # n_w_planes == 1 degenerates to a single mean-w layer, which is
-        # plain IDG up to a constant w shift the screen exactly undoes —
-        # keep the layered path so the variant stays honest about its math.
-        super().__init__(ctx, n_w_planes=max(n_w_planes, 2))
+        # n_w_planes == 1 is a single mean-w layer: plain IDG up to a
+        # constant w shift the screen exactly undoes — kept on the layered
+        # path so the variant stays honest about its math.
+        super().__init__(ctx, n_w_planes=n_w_planes)
         self.n_w_planes = n_w_planes
 
 
@@ -518,7 +521,7 @@ class _FacetedProcessor:
         self,
         ctx: ImagingContext,
         n_facets: int,
-        n_w_planes: int,
+        n_w_planes: int | None,
         padding: float,
     ):
         self.ctx = ctx
@@ -642,7 +645,7 @@ class FacetsFTProcessor(_FacetedProcessor):
     kind = "facets"
 
     def __init__(self, ctx: ImagingContext, n_facets: int = 2, padding: float = 1.5):
-        super().__init__(ctx, n_facets, n_w_planes=1, padding=padding)
+        super().__init__(ctx, n_facets, n_w_planes=None, padding=padding)
 
 
 class WStackFacetsFTProcessor(_FacetedProcessor):
@@ -660,9 +663,7 @@ class WStackFacetsFTProcessor(_FacetedProcessor):
     ):
         if n_w_planes <= 0:
             raise ValueError("n_w_planes must be positive")
-        super().__init__(
-            ctx, n_facets, n_w_planes=max(n_w_planes, 2), padding=padding
-        )
+        super().__init__(ctx, n_facets, n_w_planes=n_w_planes, padding=padding)
         self.n_w_planes = n_w_planes
 
 

@@ -42,7 +42,12 @@ the parent respawns a replacement worker for the shard's remaining groups
 (re-seeding injected-crash counters so deterministic kill tests converge),
 on exhaustion the group is quarantined as a ``stage="worker"`` dead letter
 and the respawn continues without it.  In fail-fast mode (no retries, no
-fault plan) a death raises :class:`~repro.parallel.executor.WorkGroupError`.
+fault plan) a death raises :class:`~repro.runtime.recovery.WorkGroupError`.
+
+Workers and parent run the shared work-group program
+(:mod:`repro.runtime.program`): each worker builds one over the arena
+slabs and runs its shard's stage calls; the parent's program owns the
+prologue, the exact-mode adder, the fault report and the epilogue.
 
 Not exactly-once: in ``tree`` mode a worker killed mid-add can leave a
 partial contribution in its shard grid which a re-run then duplicates — the
@@ -58,16 +63,16 @@ import os
 import signal
 import time
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
 from repro.core.adder import add_grid, tree_reduce_grids
-from repro.core.pipeline import IDG, IDGConfig, prepare_visibilities
+from repro.core.pipeline import IDG, IDGConfig
 from repro.core.plan import Plan
 from repro.data.store import ChunkedVisibilitySource, open_store
-from repro.parallel.executor import WorkGroupError
 from repro.parallel.partition import (
     ShardAssignment,
     partition_work_groups,
@@ -76,17 +81,17 @@ from repro.parallel.partition import (
 from repro.parallel.shm import ArenaSpec, SharedArena
 from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedCrash
+from repro.runtime.program import WorkGroupProgram
 from repro.runtime.recovery import (
     DeadLetter,
     FaultReport,
     Quarantined,
-    RetryPolicy,
-    WorkGroupRunner,
+    WorkGroupError,
     group_visibility_count,
 )
 from repro.runtime.telemetry import Telemetry, monotonic
 
-__all__ = ["ProcessConfig", "ProcessShardedIDG", "WorkerDeath"]
+__all__ = ["ProcessConfig", "ProcessShardedIDG", "WorkerDeath", "WorkerError"]
 
 # Per-group status bytes in the shared arena.  The worker flips a group's
 # byte away from _PENDING only after every other write for that group has
@@ -103,6 +108,10 @@ _START_METHODS = ("spawn", "fork", "forkserver")
 
 class WorkerDeath(RuntimeError):
     """A worker process exited without completing its in-flight work group."""
+
+
+class WorkerError(RuntimeError):
+    """An exception raised inside a worker process, carried back as its repr."""
 
 
 @dataclass(frozen=True)
@@ -208,11 +217,6 @@ def _read_text(row: np.ndarray) -> str:
     return bytes(row.tobytes()).rstrip(b"\x00").decode("utf-8", "replace")
 
 
-def _group_range(plan: Plan, group: int, group_size: int) -> tuple[int, int]:
-    start = group * group_size
-    return start, min(start + group_size, plan.n_subgrids)
-
-
 # --------------------------------------------------------------- worker side
 
 
@@ -225,7 +229,6 @@ def _worker_main(task: _ShardTask) -> None:
     """
     arena = SharedArena.attach(task.arena)
     try:
-        idg = IDG(task.plan.gridspec, task.idg_config)
         faults = None
         if task.fault_specs is not None:
             faults = FaultPlan(task.fault_specs)
@@ -234,185 +237,79 @@ def _worker_main(task: _ShardTask) -> None:
                     {(stage, group): count
                      for stage, group, count in task.seeded_attempts}
                 )
-        runner = None
-        if task.idg_config.max_retries > 0 or faults is not None:
-            runner = WorkGroupRunner(
-                RetryPolicy(
-                    max_retries=task.idg_config.max_retries,
-                    backoff_s=task.idg_config.retry_backoff_s,
-                ),
-                faults=faults,
-            )
-        if task.kind == "grid":
-            _run_grid_shard(task, idg, arena, runner)
-        else:
-            _run_degrid_shard(task, idg, arena, runner)
+        _run_shard(task, _shard_program(task, arena, faults), arena)
     except InjectedCrash:
         os.kill(os.getpid(), signal.SIGKILL)
     finally:
         arena.close()
 
 
-def _publish_quarantine(
-    arena: SharedArena, group: int, letter: DeadLetter
-) -> None:
-    """Copy a worker-side dead letter into the arena accounting rows."""
-    _write_text(arena["errors"][group], letter.error)
-    _write_text(arena["stages"][group], letter.stage)
-    arena["attempts"][group] = letter.attempts
-    arena["status"][group] = _DEAD
-
-
-def _run_grid_shard(
-    task: _ShardTask, idg: IDG, arena: SharedArena, runner: WorkGroupRunner | None
-) -> None:
-    plan = task.plan
-    backend = idg.backend
-    uvw = arena["uvw"]
+def _shard_program(
+    task: _ShardTask, arena: SharedArena, faults: FaultPlan | None
+) -> WorkGroupProgram:
+    """The work-group program over this shard's view of the arena."""
+    idg = IDG(task.plan.gridspec, task.idg_config)
+    common = dict(aterm_fields=task.aterm_fields, faults=faults)
+    if task.kind == "degrid":
+        return WorkGroupProgram(
+            idg, task.plan, arena["uvw"], grid=arena["grid"],
+            out=arena["visout"], **common,
+        )
     if task.store_path is not None:
         # Out-of-core shard: attach the chunked store read-only in this
         # process; the kernels stream masked blocks straight off the map.
         vis = open_store(task.store_path).source()
     else:
         vis = arena["vis"]
-    fourier = arena["fourier"]
-    status = arena["status"]
-    retries = arena["retries"]
-    durations = arena["durations"]
-    fields = task.aterm_fields
-    group_size = task.idg_config.work_group_size
     shard_grid = (
         arena["shardgrids"][task.shard] if task.reduction == "tree" else None
     )
-    for group in task.groups:
-        start, stop = _group_range(plan, group, group_size)
-        t0 = time.perf_counter()
-        if task.emulate_compute_s > 0:
-            time.sleep(task.emulate_compute_s)
-
-        def gridder_body(start: int = start, stop: int = stop) -> np.ndarray:
-            return backend.grid_work_group(
-                plan, start, stop, uvw, vis, idg.taper,
-                lmn=idg.lmn, aterm_fields=fields,
-                vis_batch=idg.config.vis_batch,
-                channel_recurrence=idg.config.channel_recurrence,
-                batched=idg.config.batched,
-            )
-
-        if runner is None:
-            try:
-                block = backend.subgrids_to_fourier(gridder_body())
-            except Exception as exc:
-                _write_text(
-                    arena["errors"][group],
-                    f"gridding work group {group} (plan items "
-                    f"[{start}, {stop})) failed in shard {task.shard}: "
-                    f"{exc!r}",
-                )
-                _write_text(arena["stages"][group], "gridder")
-                status[group] = _FAILED
-                return
-            fourier[start:stop] = block
-            if shard_grid is not None:
-                backend.add_subgrids(shard_grid, plan, block, start=start)
-            durations[group] = time.perf_counter() - t0
-            status[group] = _DONE
-            if task.store_path is not None:
-                vis.drop_caches()  # retired group's file pages -> OS
-            continue
-
-        n_vis = group_visibility_count(plan, start, stop)
-        retries_before = runner.report.n_retries
-        outcome = runner.run(
-            "gridder", group, gridder_body,
-            start=start, stop=stop, n_visibilities=n_vis,
-        )
-        if not isinstance(outcome, Quarantined):
-            subgrids = outcome
-            outcome = runner.run(
-                "subgrid_fft", group,
-                lambda s=subgrids: backend.subgrids_to_fourier(s),
-                start=start, stop=stop, n_visibilities=n_vis,
-            )
-        if not isinstance(outcome, Quarantined):
-            fourier[start:stop] = outcome
-            if shard_grid is not None:
-                block = outcome
-                outcome = runner.run(
-                    "adder", group,
-                    lambda b=block, st=start: backend.add_subgrids(
-                        shard_grid, plan, b, start=st
-                    ),
-                    start=start, stop=stop, n_visibilities=n_vis,
-                )
-        retries[group] = runner.report.n_retries - retries_before
-        durations[group] = time.perf_counter() - t0
-        if isinstance(outcome, Quarantined):
-            _publish_quarantine(arena, group, runner.report.dead_letters[-1])
-        else:
-            status[group] = _DONE
-        if task.store_path is not None:
-            vis.drop_caches()  # retired group's file pages -> OS
+    return WorkGroupProgram(
+        idg, task.plan, arena["uvw"], grid=shard_grid, visibilities=vis,
+        **common,
+    )
 
 
-def _run_degrid_shard(
-    task: _ShardTask, idg: IDG, arena: SharedArena, runner: WorkGroupRunner | None
-) -> None:
-    plan = task.plan
-    backend = idg.backend
-    uvw = arena["uvw"]
-    grid = arena["grid"]
-    out = arena["visout"]
+def _run_group(task: _ShardTask, program: WorkGroupProgram, arena: SharedArena,
+               group: int) -> bool:
+    """One work group's worker-side stages; False when quarantined."""
+    if task.kind == "degrid":
+        return program.degrid_group(group)
+    fourier = program.grid_group(group)
+    if isinstance(fourier, Quarantined):
+        return False
+    start, stop = program.groups[group]
+    arena["fourier"][start:stop] = fourier
+    return task.reduction != "tree" or program.adder(group, fourier)
+
+
+def _run_shard(task: _ShardTask, program: WorkGroupProgram, arena: SharedArena) -> None:
     status = arena["status"]
-    retries = arena["retries"]
-    durations = arena["durations"]
-    fields = task.aterm_fields
-    group_size = task.idg_config.work_group_size
+    report = program.runner.report
     for group in task.groups:
-        start, stop = _group_range(plan, group, group_size)
         t0 = time.perf_counter()
         if task.emulate_compute_s > 0:
             time.sleep(task.emulate_compute_s)
-
-        def degrid_body(start: int = start, stop: int = stop) -> None:
-            patches = backend.split_subgrids(grid, plan, start, stop)
-            backend.degrid_work_group(
-                plan, start, stop, backend.subgrids_to_image(patches),
-                uvw, out, idg.taper,
-                lmn=idg.lmn, aterm_fields=fields,
-                vis_batch=idg.config.vis_batch,
-                channel_recurrence=idg.config.channel_recurrence,
-                batched=idg.config.batched,
-            )
-
-        if runner is None:
-            try:
-                degrid_body()
-            except Exception as exc:
-                _write_text(
-                    arena["errors"][group],
-                    f"degridding work group {group} (plan items "
-                    f"[{start}, {stop})) failed in shard {task.shard}: "
-                    f"{exc!r}",
-                )
-                _write_text(arena["stages"][group], "degridder")
-                status[group] = _FAILED
-                return
-            durations[group] = time.perf_counter() - t0
+        retries_before = report.n_retries
+        try:
+            done = _run_group(task, program, arena, group)
+        except WorkGroupError as exc:
+            # Fail-fast: hand the failure to the parent and stop the shard.
+            _write_text(arena["errors"][group], repr(exc.__cause__))
+            _write_text(arena["stages"][group], exc.stage)
+            status[group] = _FAILED
+            return
+        arena["retries"][group] = report.n_retries - retries_before
+        arena["durations"][group] = time.perf_counter() - t0
+        if done:
             status[group] = _DONE
-            continue
-
-        retries_before = runner.report.n_retries
-        outcome = runner.run(
-            "degridder", group, degrid_body, start=start, stop=stop,
-            n_visibilities=group_visibility_count(plan, start, stop),
-        )
-        retries[group] = runner.report.n_retries - retries_before
-        durations[group] = time.perf_counter() - t0
-        if isinstance(outcome, Quarantined):
-            _publish_quarantine(arena, group, runner.report.dead_letters[-1])
         else:
-            status[group] = _DONE
+            letter = report.dead_letters[-1]
+            _write_text(arena["errors"][group], letter.error)
+            _write_text(arena["stages"][group], letter.stage)
+            arena["attempts"][group] = letter.attempts
+            status[group] = _DEAD
+        program.drop_caches()  # retired group's file pages -> OS
 
 
 # --------------------------------------------------------------- parent side
@@ -430,31 +327,18 @@ class _ShardSupervisor:
     def __init__(
         self,
         *,
-        kind: str,
-        idg: IDG,
+        task: _ShardTask,
+        program: WorkGroupProgram,
         config: ProcessConfig,
-        plan: Plan,
         assignment: ShardAssignment,
         arena: SharedArena,
-        runner: WorkGroupRunner | None,
-        telemetry: Telemetry,
-        faults: FaultPlan | None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None,
         skip: frozenset[int] = frozenset(),
-        store_path: str | None = None,
     ) -> None:
-        self.kind = kind
-        self.idg = idg
+        self.task = task  # template: every shard's task differs in 3 fields
+        self.program = program
         self.config = config
-        self.plan = plan
         self.assignment = assignment
-        self.arena = arena
-        self.runner = runner
-        self.telemetry = telemetry
-        self.fault_specs = faults.specs if faults is not None else None
-        self.aterm_fields = aterm_fields
         self.skip = skip
-        self.store_path = store_path
         self.status = arena["status"]
         self.procs: dict[int, mp.process.BaseProcess] = {}
         self.death_counts: dict[int, int] = {}
@@ -516,22 +400,11 @@ class _ShardSupervisor:
         # schedules (times=1) clear instead of striking forever.
         seeded = tuple(
             (spec.stage, spec.group, self.death_counts[spec.group])
-            for spec in (self.fault_specs or ())
+            for spec in (self.task.fault_specs or ())
             if spec.kind == "crash" and self.death_counts.get(spec.group, 0) > 0
         )
-        task = _ShardTask(
-            shard=shard,
-            kind=self.kind,
-            plan=self.plan,
-            idg_config=self.idg.config,
-            arena=self.arena.spec(),
-            groups=shard_groups,
-            fault_specs=self.fault_specs,
-            seeded_attempts=seeded,
-            emulate_compute_s=self.config.emulate_compute_s,
-            reduction=self.config.reduction,
-            aterm_fields=self.aterm_fields,
-            store_path=self.store_path,
+        task = replace(
+            self.task, shard=shard, groups=shard_groups, seeded_attempts=seeded
         )
         proc = self._ctx.Process(target=_worker_main, args=(task,), daemon=True)
         proc.start()
@@ -550,21 +423,15 @@ class _ShardSupervisor:
             return  # died after finishing its shard; nothing was lost
         active = pending[0]  # workers run their groups in ascending order
         self.death_counts[active] = self.death_counts.get(active, 0) + 1
-        group_size = self.idg.config.work_group_size
-        start, stop = _group_range(self.plan, active, group_size)
+        start, stop = self.program.groups[active]
         death = WorkerDeath(
             f"worker process for shard {shard} died with exit code {code} "
             f"while work group {active} was in flight"
         )
-        if self.runner is None:
-            verb = "gridding" if self.kind == "grid" else "degridding"
-            raise WorkGroupError(
-                f"{verb} work group {active} (plan items [{start}, {stop})) "
-                f"failed in shard {shard}: {death}"
-            ) from death
-        quarantined = self.runner.fail_external(
+        # Fail-fast runners raise WorkGroupError here.
+        quarantined = self.program.runner.fail_external(
             "worker", active, start=start, stop=stop,
-            n_visibilities=group_visibility_count(self.plan, start, stop),
+            n_visibilities=group_visibility_count(self.program.plan, start, stop),
             attempts=self.death_counts[active], error=death,
         )
         if quarantined is not None:
@@ -572,7 +439,7 @@ class _ShardSupervisor:
             pending = pending[1:]
         if pending:
             self._spawn(shard, tuple(pending))
-            self.telemetry.add_counter("worker_respawns", 1)
+            self.program.runner.telemetry.add_counter("worker_respawns", 1)
 
 
 class ProcessShardedIDG:
@@ -596,8 +463,8 @@ class ProcessShardedIDG:
     n_procs:
         Shorthand overriding ``config.n_procs``.
 
-    After each run ``last_fault_report`` (``None`` when fault tolerance was
-    inactive), ``last_telemetry`` (per-shard spans and counters) and
+    After each run ``last_fault_report`` (``None`` when the runner failed
+    fast), ``last_telemetry`` (per-shard spans and counters) and
     ``last_assignment`` (the LPT shard map) describe what happened.
     """
 
@@ -621,82 +488,100 @@ class ProcessShardedIDG:
 
     # ------------------------------------------------------------- internal
 
-    def _runner(self, telemetry: Telemetry) -> WorkGroupRunner | None:
-        policy = RetryPolicy(
-            max_retries=self.idg.config.max_retries,
-            backoff_s=self.idg.config.retry_backoff_s,
-        )
-        if not policy.enabled and self.faults is None:
-            return None
-        return WorkGroupRunner(policy, faults=self.faults, telemetry=telemetry)
-
-    def _drain_worker_retries(
-        self, runner: WorkGroupRunner | None, telemetry: Telemetry, count: int
-    ) -> None:
-        """Fold a worker-side retry count into the parent's report."""
-        if runner is None or count <= 0:
-            return
-        for _ in range(count):
-            runner.report.record_retry()
-        telemetry.add_counter("retries", count)
-
-    def _accounting_blocks(self, arena: SharedArena, n_groups: int) -> None:
+    def _supervisor(
+        self, program: WorkGroupProgram, arena: SharedArena, kind: str,
+        skip: frozenset[int] = frozenset(), store_path: str | None = None,
+    ) -> _ShardSupervisor:
+        """Allocate the per-group accounting rows and partition the groups
+        over shards."""
+        n_groups = len(program.groups)
         arena.allocate("status", (n_groups,), np.uint8)
         arena.allocate("attempts", (n_groups,), np.int32)
         arena.allocate("retries", (n_groups,), np.int32)
         arena.allocate("errors", (n_groups, _ERROR_BYTES), np.uint8)
         arena.allocate("stages", (n_groups, _STAGE_BYTES), np.uint8)
         arena.allocate("durations", (n_groups,), np.float64)
-
-    def _record_group_spans(
-        self,
-        telemetry: Telemetry,
-        arena: SharedArena,
-        assignment: ShardAssignment,
-        group: int,
-        now: float,
-    ) -> None:
-        shard = assignment.shard_of[group]
-        duration = float(arena["durations"][group])
-        if duration > 0:
-            # Placed just-before-merge on the parent clock; the length is
-            # the worker's measured compute (including emulated sleep).
-            telemetry.record_span(
-                "shard_compute", group, now - duration, now,
-                worker=f"shard{shard}",
-            )
-        telemetry.add_counter(f"shard{shard}.groups", 1)
-
-    def _child_dead_letter(
-        self,
-        runner: WorkGroupRunner,
-        telemetry: Telemetry,
-        arena: SharedArena,
-        plan: Plan,
-        group: int,
-        start: int,
-        stop: int,
-    ) -> None:
-        """Reconstruct a worker-side quarantine from the arena rows."""
-        runner.report.record_dead_letter(
-            DeadLetter(
-                stage=_read_text(arena["stages"][group]),
-                group=group,
-                start=start,
-                stop=stop,
-                attempts=int(arena["attempts"][group]),
-                error=_read_text(arena["errors"][group]),
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
+        assignment = partition_work_groups(
+            plan_group_weights(program.plan, self.idg.config.work_group_size),
+            self.config.n_procs,
         )
-        telemetry.add_counter("dead_letters", 1)
+        self.last_assignment = assignment
+        task = _ShardTask(
+            shard=-1,
+            kind=kind,
+            plan=program.plan,
+            idg_config=self.idg.config,
+            arena=arena.spec(),
+            groups=(),
+            fault_specs=self.faults.specs if self.faults is not None else None,
+            seeded_attempts=(),
+            emulate_compute_s=self.config.emulate_compute_s,
+            reduction=self.config.reduction,
+            aterm_fields=program.aterm_fields,
+            store_path=store_path,
+        )
+        return _ShardSupervisor(
+            task=task, program=program, config=self.config,
+            assignment=assignment, arena=arena, skip=skip,
+        )
 
     @staticmethod
-    def _finish_report(runner: WorkGroupRunner, n_groups: int) -> None:
-        runner.report.n_groups = n_groups
-        runner.report.n_groups_completed = (
-            n_groups - len(runner.report.excluded_items())
-        )
+    def _retired(
+        program: WorkGroupProgram,
+        supervisor: _ShardSupervisor,
+        arena: SharedArena,
+    ) -> Iterator[tuple[int, bool]]:
+        """Await every work group the shards run, in plan order, and yield
+        ``(group, done)``: ``done`` is False for a quarantined group.
+
+        Folds the worker-side retry counts and dead letters into the
+        parent's report and re-raises a fail-fast worker error.
+        """
+        runner = program.runner
+        telemetry = runner.telemetry
+        assignment = supervisor.assignment
+        for group, (start, stop) in enumerate(program.groups):
+            if group in supervisor.skip:
+                continue  # resumed from checkpoint
+            code = supervisor.await_group(group)
+            if group in supervisor.parent_dead:
+                yield group, False
+                continue
+            shard = assignment.shard_of[group]
+            if code == _FAILED:
+                error = _read_text(arena["errors"][group])
+                raise WorkGroupError.at(
+                    _read_text(arena["stages"][group]), group, start, stop,
+                    error, shard=shard,
+                ) from WorkerError(error)
+            retries = int(arena["retries"][group])
+            for _ in range(retries):
+                runner.report.record_retry()
+            if retries:
+                telemetry.add_counter("retries", retries)
+            if code == _DEAD:
+                # Reconstruct the worker-side quarantine from the arena rows.
+                runner.report.record_dead_letter(DeadLetter(
+                    stage=_read_text(arena["stages"][group]),
+                    group=group, start=start, stop=stop,
+                    attempts=int(arena["attempts"][group]),
+                    error=_read_text(arena["errors"][group]),
+                    n_visibilities=group_visibility_count(program.plan, start, stop),
+                ))
+                telemetry.add_counter("dead_letters", 1)
+                yield group, False
+                continue
+            duration = float(arena["durations"][group])
+            if duration > 0:
+                # Placed just-before-merge on the parent clock; the length is
+                # the worker's measured compute (including emulated sleep).
+                now = monotonic()
+                telemetry.record_span(
+                    "shard_compute", group, now - duration, now,
+                    worker=f"shard{shard}",
+                )
+            telemetry.add_counter(f"shard{shard}.groups", 1)
+            yield group, True
 
     # ------------------------------------------------------------- gridding
 
@@ -706,10 +591,12 @@ class ProcessShardedIDG:
         uvw_m: np.ndarray,
         visibilities: np.ndarray,
         aterms: ATermGenerator | None = None,
+        grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray:
-        """Process-parallel equivalent of :meth:`repro.core.IDG.grid`.
+        """Process-parallel equivalent of :meth:`repro.core.IDG.grid` (same
+        keywords).
 
         In exact reduction mode the result is bit-identical to the serial
         executor (module docstring); quarantined work groups are excluded
@@ -720,145 +607,77 @@ class ProcessShardedIDG:
         store's visibility file read-only itself (sharing the page cache),
         so out-of-core datasets never cross the process boundary.
         """
-        idg = self.idg
         cfg = self.config
-        backend = idg.backend
-        idg._check_shapes(plan, uvw_m, visibilities)
-        visibilities = prepare_visibilities(visibilities, flags)
+        telemetry = Telemetry()
+        self.last_telemetry = telemetry
+        program = WorkGroupProgram.gridding(
+            self.idg, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
+            flags=flags, aterm_fields=aterm_fields, faults=self.faults,
+            telemetry=telemetry,
+        )
+        self.last_fault_report = program.fault_report
+        master = program.grid
+        vis = program.visibilities
         store_path = None
-        if isinstance(visibilities, ChunkedVisibilitySource):
-            store_path = visibilities.store_path
+        if isinstance(vis, ChunkedVisibilitySource):
+            store_path = vis.store_path
             if store_path is None:
                 # A source without a backing store (or carrying extra flags
                 # the store does not record) cannot be re-opened inside the
                 # workers; fall back to the shared-memory slab.
-                visibilities = visibilities.materialize()
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else idg.aterm_fields(plan, aterms)
-        )
-        group_size = idg.config.work_group_size
-        groups = list(plan.work_groups(group_size))
-        n_groups = len(groups)
-        assignment = partition_work_groups(
-            plan_group_weights(plan, group_size), cfg.n_procs
-        )
-        self.last_assignment = assignment
-        telemetry = Telemetry()
-        self.last_telemetry = telemetry
-        runner = self._runner(telemetry)
-        self.last_fault_report = runner.report if runner is not None else None
+                vis = vis.materialize()
 
         signature = None
         completed: set[int] = set()
-        master = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
         if cfg.checkpoint_path is not None or cfg.resume_from is not None:
-            signature = plan_signature(plan, group_size)
+            signature = plan_signature(plan, self.idg.config.work_group_size)
         if cfg.resume_from is not None:
             ckpt = load_checkpoint(cfg.resume_from, signature=signature)
             completed = set(ckpt.completed_set)
             np.copyto(master, ckpt.grid)
+        resumed = frozenset(completed)
         n_retired = len(completed)
-        retired_since_save = 0
 
         def save_snapshot() -> None:
             save_checkpoint(
                 cfg.checkpoint_path, master, completed, signature,
                 n_retired=n_retired,
             )
-            if runner is not None:
-                runner.report.n_checkpoints += 1
+            program.runner.report.n_checkpoints += 1
 
         with SharedArena() as arena:
             np.copyto(arena.allocate("uvw", uvw_m.shape, uvw_m.dtype), uvw_m)
             if store_path is None:
-                np.copyto(
-                    arena.allocate(
-                        "vis", visibilities.shape, visibilities.dtype
-                    ),
-                    visibilities,
-                )
+                np.copyto(arena.allocate("vis", vis.shape, vis.dtype), vis)
             n = plan.subgrid_size
             fourier = arena.allocate(
                 "fourier", (plan.n_subgrids, n, n, 2, 2), COMPLEX_DTYPE
             )
-            self._accounting_blocks(arena, n_groups)
             if cfg.reduction == "tree":
-                g = idg.gridspec.grid_size
+                g = self.idg.gridspec.grid_size
                 shardgrids = arena.allocate(
                     "shardgrids", (cfg.n_procs, 4, g, g), COMPLEX_DTYPE
                 )
-            supervisor = _ShardSupervisor(
-                kind="grid", idg=idg, config=cfg, plan=plan,
-                assignment=assignment, arena=arena, runner=runner,
-                telemetry=telemetry, faults=self.faults, aterm_fields=fields,
-                skip=frozenset(completed), store_path=store_path,
+            supervisor = self._supervisor(
+                program, arena, "grid", skip=resumed, store_path=store_path
             )
             try:
                 supervisor.start()
-                for group, (start, stop) in enumerate(groups):
-                    if group in completed:
-                        continue  # resumed from checkpoint
-                    code = supervisor.await_group(group)
-                    if group in supervisor.parent_dead:
-                        n_retired += 1
-                        retired_since_save += 1
-                    elif code == _FAILED:
-                        raise WorkGroupError(
-                            _read_text(arena["errors"][group])
-                        )
-                    elif code == _DEAD:
-                        self._drain_worker_retries(
-                            runner, telemetry, int(arena["retries"][group])
-                        )
-                        self._child_dead_letter(
-                            runner, telemetry, arena, plan, group, start, stop
-                        )
-                        n_retired += 1
-                        retired_since_save += 1
-                    else:  # _DONE
-                        self._drain_worker_retries(
-                            runner, telemetry, int(arena["retries"][group])
-                        )
-                        n_vis = group_visibility_count(plan, start, stop)
+                for group, done in self._retired(program, supervisor, arena):
+                    if done and cfg.reduction == "exact":
+                        start, stop = program.groups[group]
                         t0 = monotonic()
-                        merged = True
-                        if cfg.reduction == "exact":
-                            block = fourier[start:stop]
-                            if runner is None:
-                                backend.add_subgrids(
-                                    master, plan, block, start=start
-                                )
-                            else:
-                                result = runner.run(
-                                    "adder", group,
-                                    lambda b=block, st=start:
-                                        backend.add_subgrids(
-                                            master, plan, b, start=st
-                                        ),
-                                    start=start, stop=stop,
-                                    n_visibilities=n_vis,
-                                )
-                                merged = not isinstance(result, Quarantined)
-                            telemetry.record_span(
-                                "adder", group, t0, monotonic(),
-                                worker="parent",
-                            )
-                        self._record_group_spans(
-                            telemetry, arena, assignment, group, t0
+                        done = program.adder(group, fourier[start:stop])
+                        telemetry.record_span(
+                            "adder", group, t0, monotonic(), worker="parent"
                         )
-                        if merged:
-                            telemetry.add_counter("visibilities", n_vis)
-                            completed.add(group)
-                        n_retired += 1
-                        retired_since_save += 1
-                    if (
-                        cfg.checkpoint_path is not None
-                        and retired_since_save >= cfg.checkpoint_interval
+                    if done:
+                        completed.add(group)
+                    n_retired += 1
+                    if cfg.checkpoint_path is not None and (
+                        (n_retired - len(resumed)) % cfg.checkpoint_interval == 0
                     ):
                         save_snapshot()
-                        retired_since_save = 0
                 if cfg.reduction == "tree":
                     partials = [
                         shardgrids[shard].copy()
@@ -871,9 +690,7 @@ class ProcessShardedIDG:
                     # Final snapshot on success *and* on abort, so a killed
                     # run resumes bit-exactly from the last retired prefix.
                     save_snapshot()
-        if runner is not None:
-            self._finish_report(runner, n_groups)
-        return master
+        return program.finish(skipped=resumed)
 
     # ----------------------------------------------------------- degridding
 
@@ -886,82 +703,35 @@ class ProcessShardedIDG:
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Process-parallel equivalent of :meth:`repro.core.IDG.degrid`.
+        """Process-parallel equivalent of :meth:`repro.core.IDG.degrid` (same
+        keywords).
 
         Work groups cover disjoint visibility blocks, so shards write the
         shared output slab without synchronisation; a quarantined group
         leaves its block zero (the shared convention).  ``out``
-        (zero-initialised, e.g. a writable dataset-store map) receives the
-        prediction instead of a fresh copy — note the shared-memory
-        ``visout`` slab itself remains O(dataset); streaming degrid output
-        without the slab is the StreamingIDG path's job.
+        (zero-initialised, e.g. a writable dataset-store map) is validated
+        before any worker starts and receives the prediction — note the
+        shared-memory ``visout`` slab itself remains O(dataset); streaming
+        degrid output without the slab is the StreamingIDG path's job.
         """
-        idg = self.idg
-        cfg = self.config
-        fields = (
-            aterm_fields
-            if aterm_fields is not None
-            else idg.aterm_fields(plan, aterms)
-        )
-        group_size = idg.config.work_group_size
-        groups = list(plan.work_groups(group_size))
-        n_groups = len(groups)
-        assignment = partition_work_groups(
-            plan_group_weights(plan, group_size), cfg.n_procs
-        )
-        self.last_assignment = assignment
         telemetry = Telemetry()
         self.last_telemetry = telemetry
-        runner = self._runner(telemetry)
-        self.last_fault_report = runner.report if runner is not None else None
-        n_bl, n_times, _ = uvw_m.shape
-
+        program = WorkGroupProgram.degridding(
+            self.idg, plan, uvw_m, grid, aterms=aterms,
+            aterm_fields=aterm_fields, out=out, faults=self.faults,
+            telemetry=telemetry,
+        )
+        self.last_fault_report = program.fault_report
         with SharedArena() as arena:
             np.copyto(arena.allocate("uvw", uvw_m.shape, uvw_m.dtype), uvw_m)
             np.copyto(arena.allocate("grid", grid.shape, grid.dtype), grid)
-            visout = arena.allocate(
-                "visout", (n_bl, n_times, plan.n_channels, 2, 2), COMPLEX_DTYPE
-            )
-            self._accounting_blocks(arena, n_groups)
-            supervisor = _ShardSupervisor(
-                kind="degrid", idg=idg, config=cfg, plan=plan,
-                assignment=assignment, arena=arena, runner=runner,
-                telemetry=telemetry, faults=self.faults, aterm_fields=fields,
-            )
+            visout = arena.allocate("visout", program.out.shape, COMPLEX_DTYPE)
+            supervisor = self._supervisor(program, arena, "degrid")
             try:
                 supervisor.start()
-                for group, (start, stop) in enumerate(groups):
-                    code = supervisor.await_group(group)
-                    if group in supervisor.parent_dead:
-                        continue
-                    if code == _FAILED:
-                        raise WorkGroupError(_read_text(arena["errors"][group]))
-                    self._drain_worker_retries(
-                        runner, telemetry, int(arena["retries"][group])
-                    )
-                    if code == _DEAD:
-                        self._child_dead_letter(
-                            runner, telemetry, arena, plan, group, start, stop
-                        )
-                        continue
-                    self._record_group_spans(
-                        telemetry, arena, assignment, group, monotonic()
-                    )
-                    telemetry.add_counter(
-                        "visibilities", group_visibility_count(plan, start, stop)
-                    )
-                if out is None:
-                    result = visout.copy()
-                else:
-                    expected = (n_bl, n_times, plan.n_channels, 2, 2)
-                    if out.shape != expected:
-                        raise ValueError(
-                            f"out shape {out.shape} != {expected}"
-                        )
-                    np.copyto(out, visout)
-                    result = out
+                for _ in self._retired(program, supervisor, arena):
+                    pass
+                np.copyto(program.out, visout)
             finally:
                 supervisor.shutdown()
-        if runner is not None:
-            self._finish_report(runner, n_groups)
-        return result
+        return program.finish()

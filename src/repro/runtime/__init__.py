@@ -13,8 +13,11 @@ Chrome-trace exporter, and graceful error propagation.
 
 Fault tolerance (DESIGN.md §11):
 
-* :class:`RetryPolicy` / :class:`WorkGroupRunner` — bounded-budget retry
-  with exponential backoff around per-work-group stage calls;
+* :class:`WorkGroupProgram` — the per-work-group stage program every
+  executor schedules;
+* :class:`RetryPolicy` / :class:`WorkGroupRunner` — fail-fast, or
+  bounded-budget retry with exponential backoff, around every stage call
+  (:class:`WorkGroupError` is the fail-fast error);
 * :class:`DeadLetter` / :class:`FaultReport` / :class:`Quarantined` —
   quarantine accounting when a group exhausts its budget;
 * :class:`FaultSpec` / :class:`FaultPlan` — deterministic fault injection
@@ -44,9 +47,11 @@ from repro.runtime.recovery import (
     FaultReport,
     Quarantined,
     RetryPolicy,
+    WorkGroupError,
     WorkGroupRunner,
     group_visibility_count,
 )
+from repro.runtime.program import WorkGroupProgram
 from repro.runtime.streaming import RuntimeConfig, StreamingIDG, modeled_schedule_jobs
 from repro.runtime.telemetry import GaugeSample, QueueStats, Span, Telemetry
 
@@ -72,6 +77,8 @@ __all__ = [
     "StageGraph",
     "StreamingIDG",
     "Telemetry",
+    "WorkGroupError",
+    "WorkGroupProgram",
     "WorkGroupRunner",
     "group_visibility_count",
     "load_checkpoint",

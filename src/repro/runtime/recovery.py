@@ -1,26 +1,31 @@
 """Retry, dead-letter quarantine and fault reporting for work groups.
 
-The fault-tolerance layer shared by every executor (serial :class:`~repro.core.IDG`,
+Every stage call of every executor (serial :class:`~repro.core.IDG`,
 :class:`~repro.parallel.executor.ParallelIDG`,
-:class:`~repro.runtime.StreamingIDG`): each per-work-group stage call runs
-through a :class:`WorkGroupRunner`, which
+:class:`~repro.runtime.StreamingIDG`,
+:class:`~repro.parallel.process.ProcessShardedIDG`) runs through a
+:class:`WorkGroupRunner` — the one work-group program of
+:mod:`repro.runtime.program` owns it.  The runner has two modes, both
+derived from the :class:`RetryPolicy` and the fault plan:
 
-* retries failed attempts with exponential backoff under a bounded attempt
-  budget (:class:`RetryPolicy`, wired from ``IDGConfig.max_retries`` /
-  ``IDGConfig.retry_backoff_s`` and the CLI ``--max-retries`` /
-  ``--retry-backoff`` flags);
-* quarantines a work group that exhausts its budget into a
-  :class:`DeadLetter` (plan indices, final exception, attempt count) instead
-  of aborting the run — the stage call returns a :class:`Quarantined`
-  sentinel and the executor excludes that group's visibilities, with the
-  loss recorded for flag/weight accounting;
-* feeds retry/dead-letter counters and retry-backoff spans into the run's
+* **fail-fast** (``max_retries == 0`` and no fault plan, the default): the
+  first exception is re-raised at once as a :class:`WorkGroupError` naming
+  the stage, the work group and its plan range, with the original error
+  chained as ``__cause__``;
+* **tolerant** (``max_retries > 0`` or a fault plan installed): failed
+  attempts are retried with exponential backoff under a bounded attempt
+  budget, and a work group that exhausts it is quarantined into a
+  :class:`DeadLetter` (plan indices, final exception, attempt count)
+  instead of aborting the run — the stage call returns a
+  :class:`Quarantined` sentinel and the executor excludes that group's
+  visibilities, with the loss recorded for flag/weight accounting.
+  Retry/dead-letter counters and retry-backoff spans go to the run's
   :class:`~repro.runtime.telemetry.Telemetry`.
 
-The whole layer is opt-in: with retries disabled and no fault plan installed
-the executors never construct a runner, so the legacy fail-fast path runs
-unchanged with zero overhead (measured by
-``benchmarks/bench_fault_recovery.py``).
+The policy is wired from ``IDGConfig.max_retries`` /
+``IDGConfig.retry_backoff_s`` and the CLI ``--max-retries`` /
+``--retry-backoff`` flags.  An armed runner that never sees a fault costs
+well under the 2% makespan gate of ``benchmarks/bench_fault_recovery.py``.
 
 What is *not* exactly-once: gridder/FFT/splitter stages are pure functions
 of their inputs, so a retry re-runs them safely.  The adder mutates the
@@ -46,6 +51,7 @@ __all__ = [
     "FaultReport",
     "Quarantined",
     "RetryPolicy",
+    "WorkGroupError",
     "WorkGroupRunner",
     "group_visibility_count",
 ]
@@ -58,8 +64,9 @@ class RetryPolicy:
     Attributes
     ----------
     max_retries:
-        Retry attempts per stage call beyond the first try (0 disables the
-        fault-tolerance layer entirely: failures propagate immediately).
+        Retry attempts per stage call beyond the first try.  0 (with no
+        fault plan) makes the runner fail fast: the first failure is
+        re-raised as a :class:`WorkGroupError`.
     backoff_s:
         Backoff before the first retry; retry ``k`` waits
         ``backoff_s * backoff_factor**(k-1)`` seconds, capped.
@@ -94,6 +101,32 @@ class RetryPolicy:
             self.backoff_s * self.backoff_factor ** (retry - 1),
             self.max_backoff_s,
         )
+
+
+class WorkGroupError(RuntimeError):
+    """A fail-fast stage failure annotated with the work group that caused it.
+
+    The original exception is chained as ``__cause__``; :attr:`stage` names
+    the stage that failed.
+    """
+
+    stage: str = ""
+
+    @classmethod
+    def at(
+        cls, stage: str, group: int, start: int, stop: int, error: Any,
+        shard: int | None = None,
+    ) -> "WorkGroupError":
+        """The error for ``stage`` of work group ``group`` (plan items
+        ``[start, stop)``), optionally naming the process shard it ran in."""
+        where = f" in shard {shard}" if shard is not None else ""
+        detail = error if isinstance(error, str) else repr(error)
+        err = cls(
+            f"work group {group} (plan items [{start}, {stop})) failed{where} "
+            f"at stage {stage}: {detail}"
+        )
+        err.stage = stage
+        return err
 
 
 @dataclass(frozen=True)
@@ -206,9 +239,9 @@ class WorkGroupRunner:
     Parameters
     ----------
     policy:
-        The retry budget/backoff.  ``max_retries=0`` still quarantines on
-        the first failure — a runner is only constructed when the caller
-        opted into fault tolerance.
+        The retry budget/backoff.  With ``max_retries=0`` and no fault plan
+        the runner is *fail-fast* (:attr:`fail_fast`): the first exception
+        is re-raised as a :class:`WorkGroupError`.
     faults:
         Optional deterministic injection plan (tests, benchmarks).
     telemetry:
@@ -227,6 +260,8 @@ class WorkGroupRunner:
         self.faults = faults
         self.telemetry = telemetry
         self.report = report if report is not None else FaultReport()
+        #: Re-raise the first failure instead of retrying/quarantining.
+        self.fail_fast = policy.max_retries == 0 and faults is None
 
     def run(
         self,
@@ -241,10 +276,16 @@ class WorkGroupRunner:
         """Execute ``fn`` with retries; quarantine on budget exhaustion.
 
         Returns ``fn()``'s result, or a :class:`Quarantined` sentinel after
-        ``1 + max_retries`` failed attempts.  Only ``Exception`` subclasses
+        ``1 + max_retries`` failed attempts; a fail-fast runner raises
+        :class:`WorkGroupError` on the first.  Only ``Exception`` subclasses
         are handled — ``KeyboardInterrupt`` and
         :class:`~repro.runtime.faults.InjectedCrash` always propagate.
         """
+        if self.fail_fast:
+            try:
+                return fn()
+            except Exception as exc:
+                raise WorkGroupError.at(stage, group, start, stop, exc) from exc
         budget = 1 + self.policy.max_retries
         attempt = 0
         while True:
@@ -285,7 +326,10 @@ class WorkGroupRunner:
         is returned — the caller respawns the shard.  Once ``attempts``
         exhausts ``1 + max_retries`` the group is quarantined exactly like an
         in-process failure and the :class:`Quarantined` sentinel is returned.
+        A fail-fast runner raises :class:`WorkGroupError` instead.
         """
+        if self.fail_fast:
+            raise WorkGroupError.at(stage, group, start, stop, error) from error
         if attempts >= 1 + self.policy.max_retries:
             return self._quarantine(
                 stage, group, start, stop, n_visibilities, attempts, error

@@ -19,18 +19,16 @@ stage applies batches in plan order (a reorder buffer absorbs out-of-order
 completion when ``gridder_workers > 1``), and degridding work items write
 disjoint visibility blocks.
 
-Fault tolerance (DESIGN.md §11): when ``IDGConfig.max_retries > 0`` (or a
-:class:`~repro.runtime.faults.FaultPlan` is installed) every stage call runs
-through a :class:`~repro.runtime.recovery.WorkGroupRunner` — transient
-failures are retried with exponential backoff, and a work group that
-exhausts its budget is quarantined to a dead letter instead of aborting the
-run: a :class:`~repro.runtime.recovery.Quarantined` sentinel flows through
-the remaining stages so sequencing and credit accounting stay exact, and the
-:class:`~repro.runtime.recovery.FaultReport` on ``last_fault_report``
-records what was lost.  Gridding can additionally checkpoint the master grid
-plus the retired-group set to disk (atomic write-then-rename) and later
-resume bit-exactly, skipping completed groups
-(:mod:`repro.runtime.checkpoint`).
+Each stage body is one stage call of the shared work-group program
+(:mod:`repro.runtime.program`), so the kernels, their keywords, the retry
+and quarantine semantics (DESIGN.md §11) and the fault report are the
+serial executor's; this module only wires the calls into a stage graph.  A
+work group dead-lettered at one stage becomes a
+:class:`~repro.runtime.recovery.Quarantined` sentinel that flows through the
+remaining stages, so sequencing and credit accounting stay exact.  Gridding
+can additionally checkpoint the master grid plus the retired-group set to
+disk (atomic write-then-rename) and later resume bit-exactly, skipping
+completed groups (:mod:`repro.runtime.checkpoint`).
 
 Every run produces a :class:`~repro.runtime.telemetry.Telemetry` (span
 timings, queue occupancy, retry/dead-letter/checkpoint counters,
@@ -41,31 +39,26 @@ visibilities/sec) exportable as a Chrome trace — see
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
-from repro.core.pipeline import IDG, prepare_visibilities
 from repro.core.plan import Plan
-from repro.data.store import ChunkedVisibilitySource
 from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
 from repro.runtime.faults import FaultPlan
 from repro.runtime.graph import StageGraph
 from repro.runtime.memory import record_memory_gauges
+from repro.runtime.program import WorkGroupProgram
 from repro.runtime.queues import CreditGate
-from repro.runtime.recovery import (
-    FaultReport,
-    Quarantined,
-    RetryPolicy,
-    WorkGroupRunner,
-    group_visibility_count,
-)
+from repro.runtime.recovery import FaultReport, Quarantined
 from repro.runtime.telemetry import Telemetry
+
+if TYPE_CHECKING:
+    from repro.core.pipeline import IDG
 
 
 @dataclass(frozen=True)
@@ -161,7 +154,7 @@ class StreamingIDG:
 
     The telemetry of the most recent run is kept on ``last_telemetry``; the
     fault report of the most recent *tolerant* run on ``last_fault_report``
-    (``None`` when the fault-tolerance layer was inactive).
+    (``None`` when the runner failed fast).
     """
 
     def __init__(
@@ -178,35 +171,28 @@ class StreamingIDG:
 
     # ------------------------------------------------------------- internal
 
-    def _runner(self, telemetry: Telemetry) -> WorkGroupRunner | None:
-        """A work-group runner when fault tolerance is active, else None
-        (the legacy fail-fast path, with zero added overhead)."""
-        policy = RetryPolicy(
-            max_retries=self.idg.config.max_retries,
-            backoff_s=self.idg.config.retry_backoff_s,
-        )
-        if not policy.enabled and self.faults is None:
-            return None
-        return WorkGroupRunner(policy, faults=self.faults, telemetry=telemetry)
-
-    def _gated_chunks(
-        self,
-        chunks: list[tuple[int, tuple[int, int]]],
-        gate: CreditGate,
-    ) -> Iterator[tuple[int, tuple[int, int]]]:
-        """Plan-chunk splitter: one credit per emitted work group.  Each
-        item is ``(group, (start, stop))`` with ``group`` the work group's
+    def _gated(
+        self, groups: Iterable[int], gate: CreditGate
+    ) -> Iterator[tuple[int, None]]:
+        """Plan-chunk splitter: one credit per emitted work group.  Items
+        are ``(group, value)`` pairs from here on, ``group`` being the
         plan-order index (stable across resume filtering)."""
-        for group, chunk in chunks:
+        for group in groups:
             gate.acquire()
-            yield (group, chunk)
+            yield group, None
 
-    def _transfer(self, nbytes: float) -> None:
-        """Occupy the emulated device link for ``nbytes`` without holding
-        the CPU (the DMA analogue; no-op when emulation is off)."""
+    def _link(self, nbytes: Callable[[int, Any], float]) -> Callable:
+        """An emulated transfer stage: occupy the device link for
+        ``nbytes(group, value)`` without holding the CPU (the DMA analogue;
+        a quarantined group moves nothing), then pass the item on."""
         gbs = self.config.emulate_pcie_gbs
-        if gbs is not None:
-            time.sleep(nbytes / (gbs * 1e9))
+
+        def stage(seq: int, item: tuple[int, Any]) -> tuple[int, Any]:
+            if not isinstance(item[1], Quarantined):
+                time.sleep(nbytes(*item) / (gbs * 1e9))
+            return item
+
+        return stage
 
     # ------------------------------------------------------------- gridding
 
@@ -218,49 +204,42 @@ class StreamingIDG:
         aterms: ATermGenerator | None = None,
         grid: np.ndarray | None = None,
         flags: np.ndarray | None = None,
-        telemetry: Telemetry | None = None,
+        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> np.ndarray:
         """Pipelined equivalent of :meth:`repro.core.IDG.grid`.
 
-        Identical signature and bit-identical result; accepts an optional
-        ``telemetry`` recorder (also stored on ``last_telemetry``).  With
-        fault tolerance active, quarantined work groups are excluded and
-        reported on ``last_fault_report`` instead of raising; with
-        ``config.checkpoint_path`` set, progress snapshots are written for
-        a later bit-exact ``config.resume_from`` run.
+        Same keywords and bit-identical result; the run's telemetry is kept
+        on ``last_telemetry``.  With fault tolerance active, quarantined
+        work groups are excluded and reported on ``last_fault_report``
+        instead of raising; with ``config.checkpoint_path`` set, progress
+        snapshots are written for a later bit-exact ``config.resume_from``
+        run.
         """
-        idg = self.idg
-        backend = idg.backend
-        idg._check_shapes(plan, uvw_m, visibilities)
-        visibilities = prepare_visibilities(visibilities, flags)
-        source = (
-            visibilities
-            if isinstance(visibilities, ChunkedVisibilitySource) else None
+        cfg = self.config
+        tm = Telemetry()
+        program = WorkGroupProgram.gridding(
+            self.idg, plan, uvw_m, visibilities, aterms=aterms, grid=grid,
+            flags=flags, aterm_fields=aterm_fields, faults=self.faults,
+            telemetry=tm,
         )
-        if grid is None:
-            grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
-        fields = idg.aterm_fields(plan, aterms)
-        out_grid = grid
+        self.last_fault_report = program.fault_report
+        out_grid = program.grid
 
-        tm = telemetry if telemetry is not None else Telemetry()
-        runner = self._runner(tm)
-        self.last_fault_report = runner.report if runner is not None else None
-
-        chunks = list(enumerate(plan.work_groups(idg.config.work_group_size)))
-        ckpt_path = self.config.checkpoint_path
+        ckpt_path = cfg.checkpoint_path
         signature = None
-        if ckpt_path is not None or self.config.resume_from is not None:
-            signature = plan_signature(plan, idg.config.work_group_size)
+        if ckpt_path is not None or cfg.resume_from is not None:
+            signature = plan_signature(plan, self.idg.config.work_group_size)
         completed: set[int] = set()
-        if self.config.resume_from is not None:
-            ckpt = load_checkpoint(self.config.resume_from, signature=signature)
+        if cfg.resume_from is not None:
+            ckpt = load_checkpoint(cfg.resume_from, signature=signature)
             completed = set(ckpt.completed_set)
             # The snapshot holds the prefix sum of exactly `completed`;
             # resuming continues from those bits (replacing any caller grid).
             out_grid[...] = np.asarray(ckpt.grid).reshape(out_grid.shape)
-        pending = [(g, c) for g, c in chunks if g not in completed]
+        resumed = frozenset(completed)
+        pending = [g for g in range(len(program.groups)) if g not in resumed]
 
-        gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
+        gate = CreditGate(cfg.n_buffers, telemetry=tm, name="in_flight")
         reorder: dict[int, Any] = {}
         next_seq = 0
         n_retired = 0
@@ -273,160 +252,62 @@ class StreamingIDG:
                 n_retired=n_retired,
             )
             tm.add_counter("checkpoints", 1)
-            if runner is not None:
-                runner.report.n_checkpoints += 1
+            program.runner.report.n_checkpoints += 1
 
-        def do_read(
-            seq: int, payload: tuple[int, tuple[int, int]]
-        ) -> Any:
-            # Out-of-core reader stage: materialise exactly the visibility
-            # blocks this work group needs (masked, copied off the memory
-            # map).  Downstream stages never touch the map, and the credit
-            # gate bounds the prefetched groups resident to `n_buffers`.
-            group, (start, stop) = payload
-            def body():
-                return source.prefetch_group(plan, start, stop)
-            if runner is None:
-                return (group, (start, stop), body())
-            result = runner.run(
-                "reader", group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, (start, stop), result)
-
-        def grid_group(group: int, start: int, stop: int, vis_in: Any) -> Any:
-            def body() -> np.ndarray:
-                return backend.grid_work_group(
-                    plan, start, stop, uvw_m, vis_in, idg.taper,
-                    lmn=idg.lmn, aterm_fields=fields,
-                    vis_batch=idg.config.vis_batch,
-                    channel_recurrence=idg.config.channel_recurrence,
-                    batched=idg.config.batched,
-                )
-            if runner is None:
-                return body()
-            return runner.run(
-                "gridder", group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-
-        def do_grid(seq: int, payload: Any) -> Any:
-            if isinstance(payload, Quarantined):
-                # A reader-stage dead letter: pass the sentinel through so
-                # sequencing and credit accounting stay exact.
-                return payload
-            group, (start, stop) = payload[0], payload[1]
-            vis_in = payload[2] if len(payload) == 3 else visibilities
-            result = grid_group(group, start, stop, vis_in)
-            if isinstance(result, Quarantined):
-                return result
-            return (group, start, result)
-
-        def do_fft(seq: int, payload: Any) -> Any:
-            if isinstance(payload, Quarantined):
-                return payload
-            group, start, subgrids = payload
-            if runner is None:
-                return (group, start, backend.subgrids_to_fourier(subgrids))
-            result = runner.run(
-                "subgrid_fft", group,
-                lambda: backend.subgrids_to_fourier(subgrids),
-                start=start, stop=start + len(subgrids),
-                n_visibilities=group_visibility_count(
-                    plan, start, start + len(subgrids)
-                ),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, start, result)
-
-        def add_group(group: int, start: int, fourier: np.ndarray) -> Any:
-            def body() -> None:
-                backend.add_subgrids(
-                    out_grid, plan, fourier, start=start,
-                    n_workers=self.config.adder_row_workers,
-                )
-            if runner is None:
-                body()
-                return None
-            stop = start + len(fourier)
-            return runner.run(
-                "adder", group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-
-        def do_add(seq: int, payload: Any) -> None:
+        def do_add(seq: int, item: tuple[int, Any]) -> None:
             # Apply batches in plan order so the floating-point accumulation
             # order — and hence the result — is bit-identical to the serial
-            # adder, even when gridder workers complete out of order.
+            # adder, even when gridder workers complete out of order.  A
+            # quarantined group adds nothing but still releases its credit
+            # and advances the sequence.
             nonlocal next_seq, n_retired
-            reorder[seq] = payload
+            reorder[seq] = item
             while next_seq in reorder:
-                item = reorder.pop(next_seq)
-                if isinstance(item, Quarantined):
-                    # Dead-lettered upstream: nothing to add, but the group
-                    # still releases its credit and advances the sequence.
-                    pass
-                else:
-                    group, start, fourier = item
-                    result = add_group(group, start, fourier)
-                    if not isinstance(result, Quarantined):
-                        completed.add(group)
+                group, fourier = reorder.pop(next_seq)
+                if program.adder(group, fourier, n_workers=cfg.adder_row_workers):
+                    completed.add(group)
                 gate.release()
                 next_seq += 1
                 n_retired += 1
-                if source is not None and n_retired % 8 == 0:
+                if program.source is not None and n_retired % 8 == 0:
                     # Retired groups' file pages are dead weight: evict them
                     # and snapshot the memory gauges so the trace shows RSS
                     # staying flat as data streams through.  Every 8th group
                     # is often enough — each madvise sweep walks the whole
                     # mapping's page tables, and the un-evicted residue is
                     # bounded by 8 groups' worth of file pages.
-                    source.drop_caches()
+                    program.drop_caches()
                     record_memory_gauges(tm)
-                if ckpt_path is not None and (
-                    n_retired % self.config.checkpoint_interval == 0
-                ):
+                if ckpt_path is not None and n_retired % cfg.checkpoint_interval == 0:
                     write_checkpoint()
 
-        def do_htod(seq: int, payload: Any) -> Any:
-            if not isinstance(payload, Quarantined):
-                self._transfer(chunk_transfer_bytes(plan, *payload[1])[0])
-            return payload
-
-        def do_dtoh(seq: int, payload: Any) -> Any:
-            if not isinstance(payload, Quarantined):
-                self._transfer(payload[2].nbytes)
-            return payload
-
-        graph = StageGraph("grid", n_buffers=self.config.n_buffers, telemetry=tm)
+        graph = StageGraph("grid", n_buffers=cfg.n_buffers, telemetry=tm)
         graph.add_abortable(gate)
-        graph.add_source("splitter", self._gated_chunks(pending, gate))
-        if source is not None:
-            # Disk-read stage ahead of the (emulated) device upload: with
-            # the credit gate upstream, at most `n_buffers` prefetched
-            # groups exist at once — the RSS bound of the out-of-core path.
-            graph.add_stage("reader", do_read)
-        if self.config.emulate_pcie_gbs is not None:
-            graph.add_stage("htod", do_htod)
-        graph.add_stage("gridder", do_grid, workers=self.config.gridder_workers)
-        graph.add_stage("subgrid_fft", do_fft, workers=self.config.fft_workers)
-        if self.config.emulate_pcie_gbs is not None:
-            graph.add_stage("dtoh", do_dtoh)
+        graph.add_source("splitter", self._gated(pending, gate))
+        if program.source is not None:
+            # Out-of-core reader stage ahead of the (emulated) device upload:
+            # it copies exactly the blocks a group needs off the memory map,
+            # downstream stages never touch the map, and with the credit
+            # gate upstream at most `n_buffers` prefetched groups exist at
+            # once — the RSS bound of the out-of-core path.
+            graph.add_stage("reader", _step(lambda group, _: program.read(group)))
+        if cfg.emulate_pcie_gbs is not None:
+            graph.add_stage("htod", self._link(_visibility_bytes(program)))
+        graph.add_stage(
+            "gridder", _step(program.gridder), workers=cfg.gridder_workers
+        )
+        graph.add_stage(
+            "subgrid_fft", _step(program.subgrid_fft), workers=cfg.fft_workers
+        )
+        if cfg.emulate_pcie_gbs is not None:
+            graph.add_stage("dtoh", self._link(lambda group, fourier: fourier.nbytes))
         graph.add_sink("adder", do_add)
-        tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
-        tm.add_counter("work_groups", plan.n_subgrids)
         graph.run()
-        if runner is not None:
-            runner.report.n_groups = len(chunks)
-            runner.report.n_groups_completed = len(completed)
         if ckpt_path is not None:
             write_checkpoint()
         record_memory_gauges(tm)
         self.last_telemetry = tm
-        return out_grid
+        return program.finish(skipped=resumed)
 
     # ----------------------------------------------------------- degridding
 
@@ -436,132 +317,72 @@ class StreamingIDG:
         uvw_m: np.ndarray,
         grid: np.ndarray,
         aterms: ATermGenerator | None = None,
-        telemetry: Telemetry | None = None,
+        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Pipelined equivalent of :meth:`repro.core.IDG.degrid`.
+        """Pipelined equivalent of :meth:`repro.core.IDG.degrid` (same
+        keywords).
 
         With fault tolerance active, a quarantined work group leaves its
         visibility block zero (the same convention the plan uses for
         unplaceable samples) and is reported on ``last_fault_report``.
-        ``out`` (zero-initialised, e.g. a writable dataset-store map)
-        receives the prediction in place as on the serial executor.
         """
-        idg = self.idg
-        backend = idg.backend
-        fields = idg.aterm_fields(plan, aterms)
-        n_bl, n_times, _ = uvw_m.shape
-        expected = (n_bl, n_times, plan.n_channels, 2, 2)
-        if out is None:
-            out = np.zeros(expected, dtype=COMPLEX_DTYPE)
-        elif out.shape != expected:
-            raise ValueError(f"out shape {out.shape} != {expected}")
+        cfg = self.config
+        tm = Telemetry()
+        program = WorkGroupProgram.degridding(
+            self.idg, plan, uvw_m, grid, aterms=aterms,
+            aterm_fields=aterm_fields, out=out, faults=self.faults,
+            telemetry=tm,
+        )
+        self.last_fault_report = program.fault_report
+        gate = CreditGate(cfg.n_buffers, telemetry=tm, name="in_flight")
 
-        tm = telemetry if telemetry is not None else Telemetry()
-        runner = self._runner(tm)
-        self.last_fault_report = runner.report if runner is not None else None
-        gate = CreditGate(self.config.n_buffers, telemetry=tm, name="in_flight")
-        chunks = list(enumerate(plan.work_groups(idg.config.work_group_size)))
-        n_completed = 0
-        completed_lock = threading.Lock()
+        def do_degrid(seq: int, item: tuple[int, Any]) -> tuple[int, Any]:
+            # Work items cover disjoint (baseline, time, channel) blocks, so
+            # concurrent workers write `out` without synchronisation.
+            program.degridder(*item)
+            return item
 
-        def run_stage(
-            stage: str, group: int, chunk: tuple[int, int], body: Any
-        ) -> Any:
-            if runner is None:
-                return body()
-            start, stop = chunk
-            return runner.run(
-                stage, group, body, start=start, stop=stop,
-                n_visibilities=group_visibility_count(plan, start, stop),
-            )
-
-        def do_split(
-            seq: int, payload: tuple[int, tuple[int, int]]
-        ) -> Any:
-            group, chunk = payload
-            result = run_stage(
-                "subgrid_split", group, chunk,
-                lambda: backend.split_subgrids(grid, plan, *chunk),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, chunk, result)
-
-        def do_ifft(seq: int, payload: Any) -> Any:
-            if isinstance(payload, Quarantined):
-                return payload
-            group, chunk, patches = payload
-            result = run_stage(
-                "subgrid_ifft", group, chunk,
-                lambda: backend.subgrids_to_image(patches),
-            )
-            if isinstance(result, Quarantined):
-                return result
-            return (group, chunk, result)
-
-        emulate = self.config.emulate_pcie_gbs is not None
-
-        def do_degrid(seq: int, payload: Any) -> Any:
-            nonlocal n_completed
-            if isinstance(payload, Quarantined):
-                if not emulate:
-                    gate.release()
-                return payload
-            group, chunk, images = payload
-
-            def body() -> None:
-                # Work items cover disjoint (baseline, time, channel) blocks,
-                # so concurrent workers write `out` without synchronisation.
-                start, stop = chunk
-                backend.degrid_work_group(
-                    plan, start, stop, images, uvw_m, out, idg.taper,
-                    lmn=idg.lmn, aterm_fields=fields,
-                    vis_batch=idg.config.vis_batch,
-                    channel_recurrence=idg.config.channel_recurrence,
-                    batched=idg.config.batched,
-                )
-
-            result = run_stage("degridder", group, chunk, body)
-            if not isinstance(result, Quarantined):
-                with completed_lock:
-                    n_completed += 1
-            if not emulate:
+        def retiring(stage: Callable) -> Callable:
+            # The last stage returns the group's credit.
+            def retire(seq: int, item: tuple[int, Any]) -> None:
+                stage(seq, item)
                 gate.release()
-            return (group, chunk)
+            return retire
 
-        def do_htod(seq: int, payload: Any) -> Any:
-            if not isinstance(payload, Quarantined):
-                self._transfer(payload[2].nbytes)
-            return payload
-
-        def do_dtoh(seq: int, payload: Any) -> None:
-            if not isinstance(payload, Quarantined):
-                self._transfer(chunk_transfer_bytes(plan, *payload[1])[0])
-            gate.release()
-
-        graph = StageGraph("degrid", n_buffers=self.config.n_buffers, telemetry=tm)
+        graph = StageGraph("degrid", n_buffers=cfg.n_buffers, telemetry=tm)
         graph.add_abortable(gate)
-        graph.add_source("splitter", self._gated_chunks(chunks, gate))
-        graph.add_stage("subgrid_split", do_split)
-        if emulate:
-            graph.add_stage("htod", do_htod)
-        graph.add_stage("subgrid_ifft", do_ifft, workers=self.config.fft_workers)
-        if emulate:
-            graph.add_stage("degridder", do_degrid,
-                            workers=self.config.degridder_workers)
-            graph.add_sink("dtoh", do_dtoh)
+        graph.add_source("splitter", self._gated(range(len(program.groups)), gate))
+        graph.add_stage(
+            "subgrid_split", _step(lambda group, _: program.splitter(group))
+        )
+        if cfg.emulate_pcie_gbs is not None:
+            graph.add_stage("htod", self._link(lambda group, patches: patches.nbytes))
+        graph.add_stage(
+            "subgrid_ifft", _step(program.subgrid_ifft), workers=cfg.fft_workers
+        )
+        if cfg.emulate_pcie_gbs is not None:
+            graph.add_stage("degridder", do_degrid, workers=cfg.degridder_workers)
+            graph.add_sink("dtoh", retiring(self._link(_visibility_bytes(program))))
         else:
-            graph.add_sink("degridder", do_degrid, workers=self.config.degridder_workers)
-        tm.add_counter("visibilities", plan.statistics.n_visibilities_gridded)
-        tm.add_counter("work_groups", plan.n_subgrids)
+            graph.add_sink(
+                "degridder", retiring(do_degrid), workers=cfg.degridder_workers
+            )
         graph.run()
-        if runner is not None:
-            runner.report.n_groups = len(chunks)
-            runner.report.n_groups_completed = n_completed
         record_memory_gauges(tm)
         self.last_telemetry = tm
-        return out
+        return program.finish()
+
+
+def _visibility_bytes(program: WorkGroupProgram) -> Callable[[int, Any], float]:
+    """Link bytes of a group's visibilities and uvw (the htod side of
+    gridding, the dtoh side of degridding)."""
+    return lambda group, _: chunk_transfer_bytes(program.plan, *program.groups[group])[0]
+
+
+def _step(call: Callable[[int, Any], Any]) -> Callable:
+    """A stage body running one program call on a ``(group, value)`` item."""
+    return lambda seq, item: (item[0], call(*item))
 
 
 def modeled_schedule_jobs(

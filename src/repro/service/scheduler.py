@@ -436,59 +436,40 @@ class GriddingService:
             nbytes=_plan_nbytes,
         )
         fields = self._fields_for(job, idg, plan)
-        if self.config.executor == "serial":
-            if spec.kind is JobKind.IMAGE:
-                value = idg.grid(
-                    plan,
-                    spec.uvw_m,
-                    spec.visibilities,
-                    flags=spec.flags,
-                    faults=spec.faults,
-                    aterm_fields=fields,
-                )
-            else:
-                value = idg.degrid(
-                    plan,
-                    spec.uvw_m,
-                    spec.model_grid,
-                    faults=spec.faults,
-                    aterm_fields=fields,
-                )
-            return value, idg.last_fault_report, {}
-        # The parallel executors take fault plans at construction, not per
-        # call; all executors produce bit-identical values (the conformance
-        # suite pins this), so the choice stays out of the execution key.
-        executor: Any
+        # All executors share one call surface and produce bit-identical
+        # values (the conformance suite pins this), so the choice stays out
+        # of the execution key.  The serial executor takes the fault plan
+        # per call, the parallel ones at construction.
+        engine: Any = idg
+        call_kw: dict[str, Any] = {"faults": spec.faults}
         if self.config.executor == "threads":
             from repro.parallel.executor import ParallelIDG
 
-            executor = ParallelIDG(
+            engine, call_kw = ParallelIDG(
                 idg, n_workers=self.config.executor_workers, faults=spec.faults
-            )
-        else:
+            ), {}
+        elif self.config.executor == "processes":
             from repro.parallel.process import ProcessConfig, ProcessShardedIDG
 
-            executor = ProcessShardedIDG(
+            engine, call_kw = ProcessShardedIDG(
                 idg,
                 ProcessConfig(
                     n_procs=self.config.executor_workers,
                     start_method=self.config.executor_start_method,
                 ),
                 faults=spec.faults,
-            )
+            ), {}
         if spec.kind is JobKind.IMAGE:
-            value = executor.grid(
-                plan,
-                spec.uvw_m,
-                spec.visibilities,
-                flags=spec.flags,
-                aterm_fields=fields,
+            value = engine.grid(
+                plan, spec.uvw_m, spec.visibilities, flags=spec.flags,
+                aterm_fields=fields, **call_kw,
             )
         else:
-            value = executor.degrid(
-                plan, spec.uvw_m, spec.model_grid, aterm_fields=fields
+            value = engine.degrid(
+                plan, spec.uvw_m, spec.model_grid, aterm_fields=fields,
+                **call_kw,
             )
-        return value, executor.last_fault_report, {}
+        return value, engine.last_fault_report, {}
 
     def _run_selfcal(self, job: _Job) -> tuple[np.ndarray, Any, dict[str, Any]]:
         """Run a full self-calibration loop for one SELFCAL job.

@@ -1,11 +1,13 @@
-"""Unit/integration tests for W-stacked IDG (paper Section IV)."""
+"""W-stacking (paper Section IV): the w layers of :mod:`repro.core.wstack`
+and the w-stacked FT processor built on them (``kind="wstack"``)."""
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import IDG, IDGConfig
-from repro.core.wstack import WStackedIDG, item_mean_w, split_plan_by_w
+from repro.core.wstack import item_mean_w, split_plan_by_w
 from repro.imaging.image import find_peak, stokes_i_image
+from repro.imaging.pipeline import ImagingContext, make_ftprocessor
 from repro.sky.model import SkyModel
 from repro.sky.simulate import predict_visibilities
 from repro.telescope.observation import ska1_low_observation
@@ -34,6 +36,14 @@ def wide_field():
     return obs, gs, idg, bl, vis, model, (l0, m0)
 
 
+def _wstack(obs, idg, bl, planes):
+    ctx = ImagingContext(
+        idg=idg, uvw_m=obs.uvw_m, frequencies_hz=obs.frequencies_hz,
+        baselines=bl,
+    )
+    return make_ftprocessor(ctx, kind="wstack", n_w_planes=planes)
+
+
 def _coverage(layers, shape):
     covered = np.zeros(shape, dtype=int)
     for layer in layers:
@@ -45,9 +55,9 @@ def _coverage(layers, shape):
     return covered
 
 
-def _predict_rms(ws, layers, uvw, vis, model):
-    pred = ws.predict(model, layers, uvw)
-    covered = _coverage(layers, vis.shape[:3]) > 0
+def _predict_rms(processor, vis, model):
+    pred = processor.predict(model)
+    covered = _coverage(processor._field.layers, vis.shape[:3]) > 0
     sel = covered[..., None, None] & np.ones_like(vis, bool)
     scale = np.sqrt((np.abs(vis[sel]) ** 2).mean())
     return np.sqrt((np.abs(pred[sel] - vis[sel]) ** 2).mean()) / scale
@@ -55,9 +65,8 @@ def _predict_rms(ws, layers, uvw, vis, model):
 
 def test_layers_partition_work_items(wide_field):
     obs, gs, idg, bl, vis, model, _ = wide_field
-    ws = WStackedIDG(idg, n_planes=6)
-    layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
     base_plan = idg.make_plan(obs.uvw_m, obs.frequencies_hz, bl)
+    layers = split_plan_by_w(base_plan, obs.uvw_m, 6)
     assert sum(layer.n_subgrids for layer in layers) == base_plan.n_subgrids
     # every covered visibility is covered exactly once across layers
     covered = _coverage(layers, vis.shape[:3])
@@ -82,11 +91,10 @@ def test_more_planes_improve_prediction(wide_field):
     """The Section IV trade: more w planes -> smaller residual w per subgrid
     -> higher accuracy at fixed (small) subgrid size."""
     obs, gs, idg, bl, vis, model, _ = wide_field
-    rms = {}
-    for planes in (1, 4, 16):
-        ws = WStackedIDG(idg, n_planes=planes)
-        layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-        rms[planes] = _predict_rms(ws, layers, obs.uvw_m, vis, model)
+    rms = {
+        planes: _predict_rms(_wstack(obs, idg, bl, planes), vis, model)
+        for planes in (1, 4, 16)
+    }
     assert rms[4] < rms[1] / 3
     assert rms[16] < rms[4] / 2
     assert rms[16] < 1e-3
@@ -96,23 +104,16 @@ def test_larger_subgrids_substitute_for_planes(wide_field):
     """The other side of the trade (the paper's headline for Section IV):
     a larger subgrid with few planes matches a small subgrid with many."""
     obs, gs, idg, bl, vis, model, _ = wide_field
-    small_many = WStackedIDG(idg, n_planes=16)
-    layers_sm = small_many.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-    rms_small_many = _predict_rms(small_many, layers_sm, obs.uvw_m, vis, model)
-
+    rms_small_many = _predict_rms(_wstack(obs, idg, bl, 16), vis, model)
     big_idg = IDG(gs, IDGConfig(subgrid_size=48, kernel_support=12, time_max=8))
-    big_few = WStackedIDG(big_idg, n_planes=2)
-    layers_bf = big_few.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-    rms_big_few = _predict_rms(big_few, layers_bf, obs.uvw_m, vis, model)
+    rms_big_few = _predict_rms(_wstack(obs, big_idg, bl, 2), vis, model)
     assert rms_big_few < 3 * rms_small_many
     assert rms_big_few < 2e-3
 
 
 def test_image_recovers_source(wide_field):
     obs, gs, idg, bl, vis, model, (l0, m0) = wide_field
-    ws = WStackedIDG(idg, n_planes=8)
-    layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
-    image = stokes_i_image(ws.image(layers, obs.uvw_m, vis))
+    image = stokes_i_image(_wstack(obs, idg, bl, 8).invert(vis).image)
     row, col, value = find_peak(image)
     g, dl = gs.grid_size, gs.pixel_scale
     assert (row, col) == (round(m0 / dl) + g // 2, round(l0 / dl) + g // 2)
@@ -126,9 +127,9 @@ def test_single_plane_matches_plain_idg_when_w_small(small_idg, small_obs,
     w shift, which the layer correction exactly undoes."""
     from repro.imaging.image import dirty_image_from_grid
 
-    ws = WStackedIDG(small_idg, n_planes=1)
-    layers = ws.make_layers(small_obs.uvw_m, small_obs.frequencies_hz, small_baselines)
-    stacked = stokes_i_image(ws.image(layers, small_obs.uvw_m, single_source_vis))
+    processor = _wstack(small_obs, small_idg, small_baselines, 1)
+    assert len(processor._field.layers) == 1
+    stacked = stokes_i_image(processor.invert(single_source_vis).image)
 
     plan = small_idg.make_plan(small_obs.uvw_m, small_obs.frequencies_hz, small_baselines)
     grid = small_idg.grid(plan, small_obs.uvw_m, single_source_vis)
@@ -143,21 +144,12 @@ def test_single_plane_matches_plain_idg_when_w_small(small_idg, small_obs,
     np.testing.assert_allclose(stacked[inner, inner], plain[inner, inner], atol=5e-3)
 
 
-def test_validation(small_idg, wide_field):
+def test_validation(small_idg, small_obs, small_baselines, wide_field):
     obs, gs, idg, bl, vis, model, _ = wide_field
     with pytest.raises(ValueError):
-        WStackedIDG(small_idg, n_planes=0)
-    ws = WStackedIDG(idg, n_planes=2)
-    layers = ws.make_layers(obs.uvw_m, obs.frequencies_hz, bl)
+        _wstack(small_obs, small_idg, small_baselines, 0)
+    processor = _wstack(obs, idg, bl, 2)
     with pytest.raises(ValueError):
-        ws.predict(np.zeros((4, 16, 16)), layers, obs.uvw_m)
+        processor.predict(np.zeros((4, 16, 16)))
     with pytest.raises(ValueError):
-        ws.predict(model, [], obs.uvw_m)
-    with pytest.raises(ValueError):
-        split_plan_by_w(layers[0].plan, obs.uvw_m, 0)
-
-
-def test_memory_scales_with_planes(small_idg):
-    two = WStackedIDG(small_idg, n_planes=2)
-    eight = WStackedIDG(small_idg, n_planes=8)
-    assert eight.memory_bytes() == 4 * two.memory_bytes()
+        split_plan_by_w(processor._field.layers[0].plan, obs.uvw_m, 0)

@@ -208,3 +208,13 @@ def test_context_rejects_unknown_executor(setup):
             idg=idg, uvw_m=obs.uvw_m, frequencies_hz=obs.frequencies_hz,
             baselines=baselines, executor="gpu",
         )
+
+
+@pytest.mark.parametrize("n_w_planes", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["wstack", "wstack_facets"])
+def test_wstack_grids_exactly_n_w_planes_layers(setup, kind, n_w_planes):
+    """``n_w_planes`` w layers, no more: one plane is one mean-w layer."""
+    processor = make_ftprocessor(_context(setup), kind=kind, n_w_planes=n_w_planes)
+    fields = processor._fields if kind == "wstack_facets" else [processor._field]
+    for field in fields:
+        assert len(field.layers) == n_w_planes

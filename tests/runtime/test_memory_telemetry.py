@@ -1,8 +1,11 @@
 """Memory gauges: rss/peak-rss/arena sampling and their export as Chrome
 trace counter events."""
 
-import numpy as np
+import os
+import subprocess
+import sys
 
+import repro
 from repro.runtime import peak_rss_bytes, record_memory_gauges, rss_bytes
 from repro.runtime.telemetry import Telemetry
 
@@ -19,11 +22,25 @@ def test_rss_probes_report_plausible_values():
 
 
 def test_rss_tracks_a_large_allocation():
-    before = rss_bytes()
-    ballast = np.ones(32 << 20, dtype=np.uint8)  # 32 MB, touched
-    grown = rss_bytes()
-    assert grown - before > 16 << 20
-    del ballast
+    """Measured in a fresh interpreter.  In the long-lived test process the
+    allocator may serve the ballast from pages that are already resident
+    (glibc raises its mmap threshold after large frees), so the growth
+    would not show."""
+    script = (
+        "import numpy as np\n"
+        "from repro.runtime import rss_bytes\n"
+        "before = rss_bytes()\n"
+        "ballast = np.ones(32 << 20, dtype=np.uint8)  # 32 MB, touched\n"
+        "print(rss_bytes() - before)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, check=True,
+    )
+    assert int(result.stdout) > 16 << 20
 
 
 def test_record_memory_gauges_exports_counter_events():
