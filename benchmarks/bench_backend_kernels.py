@@ -1,26 +1,38 @@
 """Per-backend kernel throughput, machine-readable.
 
-Times every registered kernel backend on the same work-group batch and
-writes ``benchmarks/results/BENCH_kernels.json`` — per-backend
-visibilities/s for gridding and degridding plus the configuration and host
-info needed to compare runs across machines — next to the usual ASCII
-table.  CI and the acceptance checks read the JSON; humans read the table.
+Times every registered kernel backend on the same work-group batch, each
+called as ``IDG`` calls it (the config's ``batched`` and
+``channel_recurrence``), and writes ``benchmarks/results/BENCH_kernels.json``
+— per-backend visibilities/s for gridding and degridding, each backend's
+speedup over ``vectorized``, the ``threads`` executor's scaling from 1 to 2
+workers with ``native``, and the configuration and host info needed to
+compare runs across machines — next to the usual ASCII table.  Every
+``native`` call runs on one thread; the ``vectorized`` rows use the BLAS
+library's default thread count.  The CI perf-smoke job gates
+``native >= 2.5x vectorized`` on this JSON; humans read the table.
 """
 
 import json
 import os
 import platform
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from repro.backends import available_backends, get_backend
-from repro.backends.jit import HAVE_NUMBA, JitBackend
+from repro.core.pipeline import IDG
+from repro.parallel.executor import ParallelIDG
 
 from _util import RESULTS_DIR, print_series
 
 GROUP = 16
 REPEATS = 3
+
+#: Work items per work group in the scaling run: the bench plan's 267
+#: subgrids make ~9 groups, enough to keep 2 workers busy.
+SCALING_GROUP_SIZE = 32
+SCALING_WORKERS = (1, 2)
 
 #: The batched-vs-per-item comparison uses more work items (batching pays
 #: off across items) and more repeats (CI asserts on the ratio).
@@ -36,7 +48,7 @@ def _visibilities_in(plan, stop):
 
 
 def _time_best(fn):
-    """Best wall-clock of REPEATS runs, after one warmup (jit compiles)."""
+    """Best wall-clock of REPEATS runs, after one warmup."""
     fn()
     best = float("inf")
     for _ in range(REPEATS):
@@ -80,13 +92,17 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
     rows = []
     for name in available_backends():
         backend = get_backend(name)
-        fallback = isinstance(backend, JitBackend) and backend.is_fallback
+        backend.ready()
+        fallback = getattr(backend, "is_fallback", False)
+        kwargs = dict(
+            lmn=bench_idg.lmn,
+            channel_recurrence=bench_idg.config.channel_recurrence,
+            batched=bench_idg.config.batched,
+        )
 
-        def run_grid(backend=backend):
+        def run_grid(backend=backend, kwargs=kwargs):
             return backend.grid_work_group(
-                plan, 0, stop, uvw, bench_vis, bench_idg.taper,
-                lmn=bench_idg.lmn,
-                channel_recurrence=bench_idg.config.channel_recurrence,
+                plan, 0, stop, uvw, bench_vis, bench_idg.taper, **kwargs
             )
 
         t_grid = _time_best(run_grid)
@@ -94,11 +110,9 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
         images = backend.subgrids_to_image(backend.subgrids_to_fourier(subgrids))
         out = np.zeros_like(bench_vis)
 
-        def run_degrid(backend=backend, images=images, out=out):
+        def run_degrid(backend=backend, images=images, out=out, kwargs=kwargs):
             backend.degrid_work_group(
-                plan, 0, stop, images, uvw, out, bench_idg.taper,
-                lmn=bench_idg.lmn,
-                channel_recurrence=bench_idg.config.channel_recurrence,
+                plan, 0, stop, images, uvw, out, bench_idg.taper, **kwargs
             )
 
         t_degrid = _time_best(run_degrid)
@@ -114,12 +128,13 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
              "vectorized" if fallback else "-")
         )
 
-    if HAVE_NUMBA and not backends["jit"]["fallback_to"]:
-        ratio = (
-            backends["jit"]["gridder_visibilities_per_s"]
-            / backends["vectorized"]["gridder_visibilities_per_s"]
-        )
-        backends["jit"]["speedup_vs_vectorized"] = ratio
+    for row in backends.values():
+        row["speedup_vs_vectorized"] = {
+            kernel: row[f"{kernel}_visibilities_per_s"]
+            / backends["vectorized"][f"{kernel}_visibilities_per_s"]
+            for kernel in ("gridder", "degridder")
+        }
+    scaling = _threads_scaling(plan, uvw, bench_vis, bench_idg)
 
     payload = {
         "benchmark": "backend_kernels",
@@ -131,7 +146,6 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
             "numpy": np.__version__,
             "cpu_count": os.cpu_count(),
         },
-        "numba_available": HAVE_NUMBA,
         "config": {
             "work_items": stop,
             "n_visibilities": n_vis,
@@ -139,12 +153,15 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
             "kernel_support": bench_idg.config.kernel_support,
             "time_max": bench_idg.config.time_max,
             "channel_recurrence": bench_idg.config.channel_recurrence,
+            "batched": bench_idg.config.batched,
             "n_baselines": int(uvw.shape[0]),
             "n_times": int(uvw.shape[1]),
             "n_channels": int(plan.n_channels),
             "repeats": REPEATS,
+            "native_threads_per_call": 1,
         },
         "backends": backends,
+        "threads_scaling": scaling,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / "BENCH_kernels.json"
@@ -155,7 +172,48 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
         ["backend", "grid Mvis/s", "degrid Mvis/s", "fallback"],
         rows,
     )
+    print_series(
+        "Threads executor scaling, native backend",
+        ["workers", "cpus", "grid s", "degrid s", "grid speedup", "degrid speedup"],
+        [
+            (w, scaling["cpu_count"], r["grid_seconds"], r["degrid_seconds"],
+             r["grid_speedup_vs_1"], r["degrid_speedup_vs_1"])
+            for w, r in scaling["workers"].items()
+        ],
+    )
     assert json.loads(path.read_text())["backends"].keys() == backends.keys()
+
+
+def _threads_scaling(plan, uvw, vis, bench_idg):
+    """Whole-plan grid and degrid on the ``threads`` executor with
+    ``native`` at 1 and 2 workers: real multi-core work, not emulated."""
+    idg = IDG(
+        bench_idg.gridspec,
+        replace(bench_idg.config, backend="native",
+                work_group_size=SCALING_GROUP_SIZE),
+    )
+    workers = {}
+    for n_workers in SCALING_WORKERS:
+        engine = ParallelIDG(idg, n_workers=n_workers)
+        t_grid = _time_best(lambda engine=engine: engine.grid(plan, uvw, vis))
+        grid = engine.grid(plan, uvw, vis)
+        t_degrid = _time_best(
+            lambda engine=engine, grid=grid: engine.degrid(plan, uvw, grid)
+        )
+        workers[str(n_workers)] = {"grid_seconds": t_grid, "degrid_seconds": t_degrid}
+    one = workers[str(SCALING_WORKERS[0])]
+    for row in workers.values():
+        row["grid_speedup_vs_1"] = one["grid_seconds"] / row["grid_seconds"]
+        row["degrid_speedup_vs_1"] = one["degrid_seconds"] / row["degrid_seconds"]
+    return {
+        "executor": "threads",
+        "backend": "native",
+        "native_fallback": idg.backend.is_fallback,
+        "cpu_count": os.cpu_count(),
+        "work_group_size": SCALING_GROUP_SIZE,
+        "n_subgrids": plan.n_subgrids,
+        "workers": workers,
+    }
 
 
 def test_bench_batched_vs_per_item(bench_plan, bench_obs, bench_vis, bench_idg):

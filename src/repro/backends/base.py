@@ -51,6 +51,13 @@ class KernelBackend:
     #: Registry name; subclasses override.
     name: str = "abstract"
 
+    def ready(self) -> None:
+        """Finish one-off set-up before the first kernel call (idempotent).
+
+        :func:`repro.backends.resolve_backend` calls it.  The default does
+        nothing; ``native`` builds and loads its library here.
+        """
+
     # ------------------------------------------------------------- gridder
 
     def grid_work_group(
@@ -72,13 +79,13 @@ class KernelBackend:
         Same signature and semantics as
         :func:`repro.core.gridder.grid_work_group`; returns the
         ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
-        ``channel_recurrence`` is advisory — a backend whose inner loop is
-        already organised around the channel-phasor recurrence (``jit``) may
-        ignore it, and the ``reference`` oracle always evaluates the direct
-        sum.  ``batched`` is likewise advisory: it asks for the
-        shape-bucketed batch-of-subgrids execution
-        (:mod:`repro.parallel.bucketing`), which only ``vectorized``
-        implements; other backends keep their per-item loop.
+        ``channel_recurrence`` is advisory — ``native`` always runs the
+        channel-phasor recurrence (on evenly spaced channels), and the
+        ``reference`` oracle always evaluates the direct sum.  ``batched``
+        is likewise advisory: it asks for the shape-bucketed
+        batch-of-subgrids execution (:mod:`repro.parallel.bucketing`), which
+        ``vectorized`` makes optional, ``native`` always uses and
+        ``reference`` ignores.
         """
         raise NotImplementedError
 

@@ -20,7 +20,7 @@ from repro.backends.base import KernelBackend
 IDG_BACKEND_ENV: Final = "IDG_BACKEND"
 
 #: Backend used when neither configuration nor environment names one.
-DEFAULT_BACKEND: Final = "vectorized"
+DEFAULT_BACKEND: Final = "native"
 
 _REGISTRY: Final[dict[str, KernelBackend]] = {}
 
@@ -59,15 +59,21 @@ def get_backend(name: str) -> KernelBackend:
 
 
 def resolve_backend(spec: str | KernelBackend | None) -> KernelBackend:
-    """Resolve a backend specification to an instance.
+    """Resolve a backend specification to a ready instance.
 
     ``None`` falls back to the ``IDG_BACKEND`` environment variable, then to
     :data:`DEFAULT_BACKEND`; a string is looked up in the registry; a
     :class:`KernelBackend` instance passes through (it need not be
-    registered — useful for experiments).
+    registered — useful for experiments).  The result's
+    :meth:`~KernelBackend.ready` has run, so one-off set-up (building and
+    loading ``native``) happens here, in the ``IDG`` constructor, and not
+    in the first kernel call.
     """
     if isinstance(spec, KernelBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(IDG_BACKEND_ENV) or DEFAULT_BACKEND
-    return get_backend(spec)
+        backend = spec
+    else:
+        if spec is None:
+            spec = os.environ.get(IDG_BACKEND_ENV) or DEFAULT_BACKEND
+        backend = get_backend(spec)
+    backend.ready()
+    return backend

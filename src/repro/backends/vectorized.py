@@ -10,9 +10,9 @@ it executes each work group through the shape-bucketed batch-of-subgrids
 drivers of :mod:`repro.parallel.bucketing` instead of the per-item loop:
 one stacked ``(G, N**2, T) @ (G, T, 4)`` product per bucket and channel
 step, with all scratch drawn from the calling thread's
-:class:`~repro.core.scratch.ScratchArena`.  It is the default backend and
-the performance yardstick the ``jit`` backend is measured against in
-``BENCH_kernels.json``.
+:class:`~repro.core.scratch.ScratchArena`.  It is the performance yardstick
+the default ``native`` backend is measured against in ``BENCH_kernels.json``,
+and what ``native`` delegates to when it cannot be built.
 """
 
 from __future__ import annotations

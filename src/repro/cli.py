@@ -33,6 +33,16 @@ from typing import Final
 import numpy as np
 
 
+def _backend_help() -> str:
+    """``--backend`` help listing the registered kernel backends."""
+    from repro.backends import DEFAULT_BACKEND, available_backends
+
+    return (
+        f"kernel backend ({', '.join(available_backends())}); default: the "
+        f"IDG_BACKEND environment variable, then {DEFAULT_BACKEND!r}"
+    )
+
+
 def _add_executor_args(parser: argparse.ArgumentParser) -> None:
     """Executor selection shared by the gridding/degridding commands."""
     parser.add_argument(
@@ -43,15 +53,12 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "processes (ProcessShardedIDG)",
     )
     parser.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="kernel backend (reference, vectorized, jit, or any registered "
-        "name); default: the IDG_BACKEND environment variable, then "
-        "'vectorized'",
+        "--backend", default=None, metavar="NAME", help=_backend_help(),
     )
     parser.add_argument(
         "--batched", dest="batched", action="store_true", default=True,
-        help="shape-bucketed batched kernel execution (default; vectorized "
-        "backend only — others keep their per-item loop)",
+        help="shape-bucketed batched kernel execution (default; native "
+        "always batches, reference never does)",
     )
     parser.add_argument(
         "--no-batched", dest="batched", action="store_false",
@@ -284,9 +291,7 @@ def _add_service_args(parser) -> None:
                         help="per-tenant queued-job bound (default: none)")
     parser.add_argument("--no-coalesce", action="store_true",
                         help="disable request coalescing (caches still apply)")
-    parser.add_argument("--backend", default=None,
-                        help="kernel backend name (default: IDG_BACKEND or "
-                        "'vectorized')")
+    parser.add_argument("--backend", default=None, help=_backend_help())
 
 
 # --------------------------------------------------------------- commands

@@ -16,6 +16,8 @@ complex matrix product plus the ``exp`` (sine/cosine) evaluation.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.analysis.contracts import shape_checked
@@ -29,6 +31,7 @@ from repro.core.gridder import (
     _sincos_into,
     relative_uvw_wavelengths,
     subgrid_lmn,
+    uniform_channel_step,
 )
 from repro.core.plan import Plan
 from repro.core.scratch import ScratchArena, thread_arena
@@ -181,6 +184,16 @@ def _corrected_pixels_bucket(
     return corrected.reshape(g_total, n * n, 4)
 
 
+#: Signature of a degridder core: ``(pixels, uvw_m, scale0, ds, n_channels,
+#: offsets, lmn, arena) -> (G, T, C, 4)`` complex128 predictions, an arena
+#: view; ``pixels`` are the ``(G, N**2, 4)`` taper- and A-term-corrected
+#: subgrid pixels.
+DegridderCore = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, float, int, np.ndarray, np.ndarray, ScratchArena],
+    np.ndarray,
+]
+
+
 @shape_checked(
     subgrid_images="(G, N, N, 2, 2)",
     uvw_m="(G, T, 3)",
@@ -204,13 +217,15 @@ def degridder_bucket_fast(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
     arena: ScratchArena | None = None,
+    core: DegridderCore | None = None,
 ) -> np.ndarray:
     """Algorithm 2 with the channel phasor recurrence, over a whole bucket.
 
     The batched form of :func:`degridder_subgrid_fast` — the exact phase
-    conjugate of :func:`repro.core.gridder.gridder_bucket_fast`, with one
-    stacked ``(G, T, N**2) @ (G, N**2, 4)`` matrix product per channel step
-    and the recurrence applied in place on arena buffers.
+    conjugate of :func:`repro.core.gridder.gridder_bucket_fast`: the taper
+    and A-term sandwich correct the pixels, then ``core``
+    (:func:`degridder_bucket_core` in NumPy by default) sums phasor x pixel
+    per visibility.
 
     Parameters
     ----------
@@ -231,6 +246,10 @@ def degridder_bucket_fast(
         As in :func:`gridder_bucket_fast`.
     arena:
         Scratch arena (defaults to the calling thread's).
+    core:
+        The phasor x pixel sum (:data:`DegridderCore`); defaults to the
+        NumPy :func:`degridder_bucket_core`.  The ``native`` backend passes
+        its compiled core here, so taper and A-terms stay shared.
 
     Returns
     -------
@@ -238,12 +257,33 @@ def degridder_bucket_fast(
     the work-group driver scatters it into the output before the next
     batched call on this thread).
     """
-    g_total, t_total = uvw_m.shape[:2]
-    n_pixels2 = lmn.shape[0]
     if arena is None:
         arena = thread_arena()
     pixels = _corrected_pixels_bucket(subgrid_images, taper, aterm_p, aterm_q, arena)
+    return (core or degridder_bucket_core)(
+        pixels, uvw_m, scale0, ds, n_channels, offsets, lmn, arena
+    )
 
+
+def degridder_bucket_core(
+    pixels: np.ndarray,
+    uvw_m: np.ndarray,
+    scale0: np.ndarray,
+    ds: float,
+    n_channels: int,
+    offsets: np.ndarray,
+    lmn: np.ndarray,
+    arena: ScratchArena,
+) -> np.ndarray:
+    """The phasor x pixel sum of :func:`degridder_bucket_fast`, in NumPy.
+
+    ``out[g, t, c, p] = sum_i exp(-i alpha_c[g, i, t]) pixels[g, i, p]`` for
+    the ``(G, N**2, 4)`` corrected pixels, with the channel recurrence and
+    one stacked ``(G, T, N**2) @ (G, N**2, 4)`` product per channel step.
+    Returns the ``(G, T, C, 4)`` complex128 predictions as an arena view.
+    """
+    g_total, t_total = uvw_m.shape[:2]
+    n_pixels2 = lmn.shape[0]
     base = _phase_tensor(lmn, uvw_m, arena, "bucket.base")
     offset_phase = _offset_phase_matrix(lmn, offsets, arena, "bucket.offset_phase")
     phase = arena.take("bucket.phase", (g_total, n_pixels2, t_total), np.float64)
@@ -347,11 +387,15 @@ def degrid_work_group(
 
     ``subgrid_images`` holds the ``(stop-start, N, N, 2, 2)`` image-domain
     subgrids produced by the splitter + inverse subgrid FFT.
-    ``channel_recurrence`` selects :func:`degridder_subgrid_fast`.
+    ``channel_recurrence`` selects :func:`degridder_subgrid_fast` when the
+    channels are evenly spaced, as in
+    :func:`repro.core.gridder.grid_work_group`.
     """
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
+    if channel_recurrence:
+        channel_recurrence = uniform_channel_step(plan.frequencies_hz) is not None
     for k, index in enumerate(range(start, stop)):
         item = plan.work_item(index)
         u_mid, v_mid = plan.subgrid_centre_uv(index)

@@ -20,6 +20,8 @@ the paper's T_B x C_B batching that bounds the working set.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
 from repro.analysis.contracts import shape_checked
@@ -306,6 +308,14 @@ def _sincos_into(phase: np.ndarray, out: np.ndarray) -> None:
     np.sin(phase, out=out.imag)
 
 
+#: Signature of a gridder core: ``(visibilities, uvw_m, scale0, ds, offsets,
+#: lmn, arena) -> (G, N**2, 4)`` complex128 accumulators, an arena view.
+GridderCore = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray, ScratchArena],
+    np.ndarray,
+]
+
+
 @shape_checked(
     visibilities="(G, T, C, 4)",
     uvw_m="(G, T, 3)",
@@ -328,17 +338,16 @@ def gridder_bucket_fast(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
     arena: ScratchArena | None = None,
+    core: GridderCore | None = None,
 ) -> np.ndarray:
     """Algorithm 1 with the channel phasor recurrence, over a whole bucket.
 
     The batched form of :func:`gridder_subgrid_fast`: ``G`` identically
-    shaped work items are evaluated together — one broadcast matmul for the
-    stacked metre-domain phase, one batched sine/cosine pair per (item,
-    pixel, timestep), and one stacked ``(G, N**2, T) @ (G, T, 4)`` matrix
-    product per channel step, with the recurrence multiply and its
-    renormalisation applied in place.  All working memory comes from the
-    scratch arena, so a steady stream of equal-shape buckets allocates
-    nothing.
+    shaped work items are evaluated together.  ``core`` computes the
+    phasor x visibility sums (:func:`gridder_bucket_core` in NumPy by
+    default), then the A-term adjoint sandwich and the taper are applied in
+    place.  All working memory comes from the scratch arena, so a steady
+    stream of equal-shape buckets allocates nothing.
 
     Parameters
     ----------
@@ -359,6 +368,10 @@ def gridder_bucket_fast(
         per item.
     arena:
         Scratch arena (defaults to the calling thread's).
+    core:
+        The phasor x visibility sum (:data:`GridderCore`); defaults to the
+        NumPy :func:`gridder_bucket_core`.  The ``native`` backend passes
+        its compiled core here, so taper and A-terms stay shared.
 
     Returns
     -------
@@ -366,12 +379,38 @@ def gridder_bucket_fast(
     view into the arena — copy it out (the work-group drivers assign it
     into their output array) before the next batched call on this thread.
     """
-    g_total, t_total, c_total = visibilities.shape[:3]
-    n_pixels2 = lmn.shape[0]
-    n = int(np.sqrt(n_pixels2))
+    n = int(np.sqrt(lmn.shape[0]))
     if arena is None:
         arena = thread_arena()
+    acc = (core or gridder_bucket_core)(
+        visibilities, uvw_m, scale0, ds, offsets, lmn, arena
+    )
+    subgrids = acc.reshape(acc.shape[0], n, n, 2, 2)
+    if aterm_p is not None or aterm_q is not None:
+        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
+    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
+    return subgrids
 
+
+def gridder_bucket_core(
+    visibilities: np.ndarray,
+    uvw_m: np.ndarray,
+    scale0: np.ndarray,
+    ds: float,
+    offsets: np.ndarray,
+    lmn: np.ndarray,
+    arena: ScratchArena,
+) -> np.ndarray:
+    """The phasor x visibility sum of :func:`gridder_bucket_fast`, in NumPy.
+
+    ``acc[g, i, p] = sum_{t, c} exp(i alpha_c[g, i, t]) V[g, t, c, p]`` with
+    the channel recurrence: one broadcast matmul for the stacked metre-domain
+    phase, one batched sine/cosine pair per (item, pixel, timestep), and one
+    stacked ``(G, N**2, T) @ (G, T, 4)`` product per channel step.  Returns
+    the ``(G, N**2, 4)`` complex128 accumulators as an arena view.
+    """
+    g_total, t_total, c_total = visibilities.shape[:3]
+    n_pixels2 = lmn.shape[0]
     base = _phase_tensor(lmn, uvw_m, arena, "bucket.base")
     offset_phase = _offset_phase_matrix(lmn, offsets, arena, "bucket.offset_phase")
     phase = arena.take("bucket.phase", (g_total, n_pixels2, t_total), np.float64)
@@ -396,12 +435,7 @@ def gridder_bucket_fast(
             phasor /= phase
         np.matmul(phasor, visibilities[:, :, c], out=prod)
         acc += prod
-
-    subgrids = acc.reshape(g_total, n, n, 2, 2)
-    if aterm_p is not None or aterm_q is not None:
-        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
-    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
-    return subgrids
+    return acc
 
 
 @shape_checked(
@@ -468,6 +502,24 @@ def gridder_bucket(
     return subgrids
 
 
+def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:
+    """The uniform ``ds`` of the full ``f/c`` ladder, or ``None``.
+
+    The batched recurrence shares one ``ds`` across a whole bucket whose
+    items may start at different channels, so it needs the *global* ladder to
+    be an arithmetic progression (every subband in this package is); ``None``
+    sends the drivers (batched and per-item) down the direct-sum path
+    instead.
+    """
+    scales = np.asarray(frequencies_hz, dtype=np.float64) / SPEED_OF_LIGHT
+    if scales.size < 2:
+        return 0.0
+    steps = np.diff(scales)
+    if not np.allclose(steps, steps[0], rtol=1e-9):
+        return None
+    return float(steps[0])
+
+
 def grid_work_group(
     plan: Plan,
     start: int,
@@ -498,8 +550,9 @@ def grid_work_group(
         Maps ``(station, interval)`` to an ``(N, N, 2, 2)`` Jones field;
         ``None`` or missing keys mean identity.
     channel_recurrence:
-        Use :func:`gridder_subgrid_fast` (valid for evenly spaced channel
-        frequencies, which every subband in this package has).
+        Use :func:`gridder_subgrid_fast` when the channel frequencies are
+        evenly spaced (:func:`uniform_channel_step`); otherwise the direct
+        sum runs, as in the batched driver.
 
     Returns
     -------
@@ -508,6 +561,8 @@ def grid_work_group(
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
+    if channel_recurrence:
+        channel_recurrence = uniform_channel_step(plan.frequencies_hz) is not None
     out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
     for k, index in enumerate(range(start, stop)):
         item = plan.work_item(index)

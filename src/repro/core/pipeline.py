@@ -104,22 +104,27 @@ class IDGConfig:
         evenly spaced channels every subband here has) instead of one
         sincos per pixel-visibility.  ~n_channels fewer transcendental
         evaluations; bit-equivalent to well within single precision.
+        The ``native`` backend compiles only this path; with ``False`` it
+        runs the NumPy direct sum.
     batched:
         Execute each work group through the shape-bucketed batch-of-subgrids
         drivers (:mod:`repro.parallel.bucketing`): work items of identical
         block shape are gathered into stacked tensors and evaluated with a
         handful of large batched array operations on reusable scratch-arena
         buffers, instead of one small gemm and several allocations per item.
-        Advisory — only the ``vectorized`` backend implements it; others
-        keep their per-item loop.  Results agree with the per-item path
+        Advisory — ``vectorized`` honours it, ``native`` always batches and
+        ``reference`` never does.  Results agree with the per-item path
         within the differential-corpus tolerance (rtol 1e-5).
     backend:
         Named kernel backend dispatching the gridder/degridder/subgrid-FFT/
-        adder entry points (``"reference"``, ``"vectorized"``, ``"jit"``,
-        or any name registered with
+        adder entry points (``"native"``, ``"vectorized"``,
+        ``"reference"``, or any name registered with
         :func:`repro.backends.register_backend`).  ``None`` (default)
-        consults the ``IDG_BACKEND`` environment variable, then falls back
-        to ``"vectorized"``.
+        consults the ``IDG_BACKEND`` environment variable, then uses
+        ``"native"``: the C kernels compiled on first use with
+        ``cc -O3 -march=native`` into ``$XDG_CACHE_HOME/repro/native``
+        (``~/.cache/repro/native``), falling back to ``"vectorized"``
+        with one logged warning when no compiler is available.
     max_retries:
         Fault tolerance (DESIGN.md §11): retry attempts per work-group
         stage call before the group is quarantined to a dead letter.  The

@@ -30,8 +30,14 @@ import numpy as np
 
 from repro.aterms.jones import identity_jones_field
 from repro.constants import ACCUM_DTYPE, COMPLEX_DTYPE, SPEED_OF_LIGHT
-from repro.core.degridder import degridder_bucket, degridder_bucket_fast
-from repro.core.gridder import gridder_bucket, gridder_bucket_fast, subgrid_lmn
+from repro.core.degridder import DegridderCore, degridder_bucket, degridder_bucket_fast
+from repro.core.gridder import (
+    GridderCore,
+    gridder_bucket,
+    gridder_bucket_fast,
+    subgrid_lmn,
+    uniform_channel_step,
+)
 from repro.core.plan import Plan
 from repro.core.scratch import ScratchArena, thread_arena
 
@@ -320,23 +326,6 @@ def scatter_visibilities(
 # ------------------------------------------------------ work-group drivers
 
 
-def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:
-    """The uniform ``ds`` of the full ``f/c`` ladder, or ``None``.
-
-    The batched recurrence shares one ``ds`` across a whole bucket whose
-    items may start at different channels, so it needs the *global* ladder to
-    be an arithmetic progression (every subband in this package is); ``None``
-    sends the drivers down the batched direct-sum path instead.
-    """
-    scales = np.asarray(frequencies_hz, dtype=np.float64) / SPEED_OF_LIGHT
-    if scales.size < 2:
-        return 0.0
-    steps = np.diff(scales)
-    if not np.allclose(steps, steps[0], rtol=1e-9):
-        return None
-    return float(steps[0])
-
-
 def grid_work_group_batched(
     plan: Plan,
     start: int,
@@ -349,6 +338,7 @@ def grid_work_group_batched(
     channel_recurrence: bool = False,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
+    core: GridderCore | None = None,
 ) -> np.ndarray:
     """Shape-bucketed equivalent of :func:`repro.core.gridder.grid_work_group`.
 
@@ -356,7 +346,10 @@ def grid_work_group_batched(
     tensors and grids it with one batched kernel call (chunked so the phasor
     scratch stays under ``batch_bytes``).  Returns the same
     ``(stop - start, N, N, 2, 2)`` complex64 subgrids as the per-item driver,
-    within the differential-corpus tolerance.
+    within the differential-corpus tolerance.  ``core`` replaces the
+    channel-recurrence kernel's phasor x visibility sum
+    (:func:`repro.core.gridder.gridder_bucket_fast`); the direct-sum path
+    for unevenly spaced channels always runs in NumPy.
     """
     n = plan.subgrid_size
     if lmn is None:
@@ -382,6 +375,7 @@ def grid_work_group_batched(
                     ds,
                     gather_offsets(plan, indices, arena),
                     lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena,
+                    core=core,
                 )
             else:
                 subgrids = gridder_bucket(
@@ -406,11 +400,12 @@ def degrid_work_group_batched(
     channel_recurrence: bool = False,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
+    core: DegridderCore | None = None,
 ) -> None:
     """Shape-bucketed equivalent of
     :func:`repro.core.degridder.degrid_work_group`: predictions are written
     into ``visibilities_out`` in place, one batched kernel call per bucket
-    chunk."""
+    chunk.  ``core`` is as in :func:`grid_work_group_batched`."""
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
@@ -436,6 +431,7 @@ def degrid_work_group_batched(
                     bucket.n_channels,
                     gather_offsets(plan, indices, arena),
                     lmn, taper, aterm_p=a_p, aterm_q=a_q, arena=arena,
+                    core=core,
                 )
             else:
                 block = degridder_bucket(

@@ -3,9 +3,11 @@
 Every registered kernel backend runs the same corpus of small but
 structurally varied plans — a plain observation, a w-offset plan, an A-term
 schedule, a wideband (C = 512) subband exercising the channel-phasor
-recurrence, and a degenerate single-visibility plan — and the tests in this
-directory hold all backends to pairwise agreement at ``rtol = 1e-5`` plus
-per-backend gridder/degridder adjointness.
+recurrence, a degenerate single-visibility plan, a subgrid whose N**2 is
+not a multiple of the native kernel's 8-pixel block, and an unevenly spaced
+channel ladder (no recurrence applies) — and the tests in this directory
+hold all backends to pairwise agreement at ``rtol = 1e-5`` plus per-backend
+gridder/degridder adjointness.
 
 Running a case through a backend is expensive (the ``reference`` oracle is a
 direct sum), so results are computed once per ``(case, backend)`` and cached
@@ -14,7 +16,7 @@ for the whole session in :class:`Corpus`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -44,6 +46,8 @@ class Case:
     fill_factor: float = 0.9
     w_offset: float = 0.0
     aterm_interval: int | None = None
+    #: Space the channels geometrically (ratio 1.002) instead of evenly.
+    uneven_channels: bool = False
     seed: int = 0
 
 
@@ -72,6 +76,8 @@ CASES = (
         max_radius_m=250.0,
         seed=15,
     ),
+    Case("odd-pixels", subgrid_size=10, seed=16),
+    Case("uneven-channels", n_channels=6, uneven_channels=True, seed=17),
 )
 
 #: Registered backends, captured at collection time.
@@ -96,6 +102,12 @@ class Corpus:
                 max_radius_m=case.max_radius_m,
                 seed=case.seed,
             )
+            if case.uneven_channels:
+                obs = replace(
+                    obs,
+                    frequencies_hz=obs.frequencies_hz[0]
+                    * 1.002 ** np.arange(case.n_channels),
+                )
             gridspec = obs.fitting_gridspec(
                 case.grid_size, fill_factor=case.fill_factor
             )
