@@ -3,55 +3,56 @@
 Two of the paper's CPU optimisation knobs:
 
 * the T_B x C_B batch size ("the computation is performed in batches") —
-  measured here as NumPy gridder throughput vs ``vis_batch``: too small and
-  per-batch overhead dominates, too large and the phasor working set falls
-  out of cache;
+  measured here as NumPy gridder throughput vs the bucketed driver's
+  ``batch_bytes``, the scratch budget that sets how many same-shape work
+  items one kernel call stacks: too small and every item is its own call,
+  too large and the phasor working set falls out of cache;
 * the channel count vs SIMD width ("the vectorization works best when the
   number of channels is a multiple of the SIMD vector width ... wider
   vectors will not necessarily result in higher performance") — the lane
   efficiency model swept over C for 4/8/16-wide vectors.
 """
 
-import numpy as np
+import time
+
 from _util import print_series
 
-from repro.core.gridder import grid_work_group
+from repro.parallel.bucketing import DEFAULT_BATCH_BYTES, grid_work_group_batched
 from repro.perfmodel.vectorization import (
     best_simd_width,
     simd_channel_efficiency,
 )
 
-BATCHES = [32, 128, 512, 2048]
+KIB = 1024
+BATCH_BYTES = [16 * KIB, 256 * KIB, DEFAULT_BATCH_BYTES, 4 * KIB * KIB, 64 * KIB * KIB]
 
 
-def test_ablation_vis_batch(benchmark, bench_plan, bench_obs, bench_vis, bench_idg):
-    stop = min(12, bench_plan.n_subgrids)
+def test_ablation_batch_bytes(benchmark, bench_plan, bench_obs, bench_vis, bench_idg):
+    stop = min(64, bench_plan.n_subgrids)
     n_vis = sum(bench_plan.work_item(i).n_visibilities for i in range(stop))
-
-    import time
 
     def sweep():
         rates = {}
-        for batch in BATCHES:
+        for budget in BATCH_BYTES:
             t0 = time.perf_counter()
-            grid_work_group(
+            grid_work_group_batched(
                 bench_plan, 0, stop, bench_obs.uvw_m, bench_vis, bench_idg.taper,
-                lmn=bench_idg.lmn, vis_batch=batch,
+                lmn=bench_idg.lmn, batch_bytes=budget,
             )
-            rates[batch] = n_vis / (time.perf_counter() - t0) / 1e6
+            rates[budget] = n_vis / (time.perf_counter() - t0) / 1e6
         return rates
 
     rates = benchmark(sweep)
     print_series(
-        "Ablation: gridder throughput vs vis_batch (measured, this host)",
-        ["vis_batch", "MVis/s"],
-        [(b, rates[b]) for b in BATCHES],
+        "Ablation: NumPy gridder throughput vs batch_bytes (measured, this host)",
+        ["batch_bytes", "MVis/s"],
+        [(b, rates[b]) for b in BATCH_BYTES],
     )
     # batching matters: the best batch beats the worst measurably
     values = list(rates.values())
     assert max(values) > 1.1 * min(values)
-    # and results are identical regardless of batch (correctness is tested
-    # in tests/core; here we only pin that the knob is purely performance)
+    # results do not depend on the budget (tests/parallel/test_bucketing.py);
+    # here we only pin that it is purely a performance setting
 
 
 def test_ablation_simd_channel_alignment(benchmark):

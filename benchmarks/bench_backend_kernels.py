@@ -1,8 +1,7 @@
 """Per-backend kernel throughput, machine-readable.
 
 Times every registered kernel backend on the same work-group batch, each
-called as ``IDG`` calls it (the config's ``batched`` and
-``channel_recurrence``), and writes ``benchmarks/results/BENCH_kernels.json``
+called as ``IDG`` calls it, and writes ``benchmarks/results/BENCH_kernels.json``
 — per-backend visibilities/s for gridding and degridding, each backend's
 speedup over ``vectorized``, the ``threads`` executor's scaling from 1 to 2
 workers with ``native``, and the configuration and host info needed to
@@ -34,11 +33,6 @@ REPEATS = 3
 SCALING_GROUP_SIZE = 32
 SCALING_WORKERS = (1, 2)
 
-#: The batched-vs-per-item comparison uses more work items (batching pays
-#: off across items) and more repeats (CI asserts on the ratio).
-BATCHED_GROUP = 64
-BATCHED_REPEATS = 5
-
 
 def _visibilities_in(plan, stop):
     return sum(
@@ -58,30 +52,6 @@ def _time_best(fn):
     return best
 
 
-def _time_repeats(fn, repeats):
-    """All wall-clock samples of ``repeats`` runs, after one warmup."""
-    fn()
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return samples
-
-
-def _stats(samples, n_vis):
-    best = min(samples)
-    mean = sum(samples) / len(samples)
-    variance = sum((s - mean) ** 2 for s in samples) / len(samples)
-    return {
-        "seconds_best": best,
-        "seconds_mean": mean,
-        "seconds_all": samples,
-        "seconds_variance": variance,
-        "visibilities_per_s": n_vis / best,
-    }
-
-
 def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
     plan, uvw = bench_plan, bench_obs.uvw_m
     stop = min(GROUP, plan.n_subgrids)
@@ -94,15 +64,10 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
         backend = get_backend(name)
         backend.ready()
         fallback = getattr(backend, "is_fallback", False)
-        kwargs = dict(
-            lmn=bench_idg.lmn,
-            channel_recurrence=bench_idg.config.channel_recurrence,
-            batched=bench_idg.config.batched,
-        )
 
-        def run_grid(backend=backend, kwargs=kwargs):
+        def run_grid(backend=backend):
             return backend.grid_work_group(
-                plan, 0, stop, uvw, bench_vis, bench_idg.taper, **kwargs
+                plan, 0, stop, uvw, bench_vis, bench_idg.taper, lmn=bench_idg.lmn
             )
 
         t_grid = _time_best(run_grid)
@@ -110,9 +75,9 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
         images = backend.subgrids_to_image(backend.subgrids_to_fourier(subgrids))
         out = np.zeros_like(bench_vis)
 
-        def run_degrid(backend=backend, images=images, out=out, kwargs=kwargs):
+        def run_degrid(backend=backend, images=images, out=out):
             backend.degrid_work_group(
-                plan, 0, stop, images, uvw, out, bench_idg.taper, **kwargs
+                plan, 0, stop, images, uvw, out, bench_idg.taper, lmn=bench_idg.lmn
             )
 
         t_degrid = _time_best(run_degrid)
@@ -152,8 +117,6 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
             "subgrid_size": bench_idg.config.subgrid_size,
             "kernel_support": bench_idg.config.kernel_support,
             "time_max": bench_idg.config.time_max,
-            "channel_recurrence": bench_idg.config.channel_recurrence,
-            "batched": bench_idg.config.batched,
             "n_baselines": int(uvw.shape[0]),
             "n_times": int(uvw.shape[1]),
             "n_channels": int(plan.n_channels),
@@ -215,102 +178,3 @@ def _threads_scaling(plan, uvw, vis, bench_idg):
         "workers": workers,
     }
 
-
-def test_bench_batched_vs_per_item(bench_plan, bench_obs, bench_vis, bench_idg):
-    """Shape-bucketed batched execution vs the per-item kernels.
-
-    Times the ``vectorized`` backend both ways on the same work-group batch
-    and writes ``benchmarks/results/BENCH_batched.json`` with per-repeat
-    samples (so run-to-run variance is visible next to the ratio).  The CI
-    perf-smoke job asserts batched >= per-item from this payload.
-    """
-    from repro.parallel.bucketing import DEFAULT_BATCH_BYTES
-
-    plan, uvw = bench_plan, bench_obs.uvw_m
-    stop = min(BATCHED_GROUP, plan.n_subgrids)
-    n_vis = _visibilities_in(plan, stop)
-    assert n_vis > 0
-    backend = get_backend("vectorized")
-
-    modes = {}
-    for batched in (False, True):
-
-        def run_grid(batched=batched):
-            return backend.grid_work_group(
-                plan, 0, stop, uvw, bench_vis, bench_idg.taper,
-                lmn=bench_idg.lmn,
-                channel_recurrence=bench_idg.config.channel_recurrence,
-                batched=batched,
-            )
-
-        grid_samples = _time_repeats(run_grid, BATCHED_REPEATS)
-        subgrids = run_grid()
-        images = backend.subgrids_to_image(backend.subgrids_to_fourier(subgrids))
-        out = np.zeros_like(bench_vis)
-
-        def run_degrid(batched=batched, images=images, out=out):
-            backend.degrid_work_group(
-                plan, 0, stop, images, uvw, out, bench_idg.taper,
-                lmn=bench_idg.lmn,
-                channel_recurrence=bench_idg.config.channel_recurrence,
-                batched=batched,
-            )
-
-        degrid_samples = _time_repeats(run_degrid, BATCHED_REPEATS)
-        modes["batched" if batched else "per_item"] = {
-            "gridder": _stats(grid_samples, n_vis),
-            "degridder": _stats(degrid_samples, n_vis),
-        }
-
-    speedup = {
-        kernel: (
-            modes["batched"][kernel]["visibilities_per_s"]
-            / modes["per_item"][kernel]["visibilities_per_s"]
-        )
-        for kernel in ("gridder", "degridder")
-    }
-
-    payload = {
-        "benchmark": "batched_vs_per_item",
-        "generated_by": "benchmarks/bench_backend_kernels.py",
-        "host": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "cpu_count": os.cpu_count(),
-        },
-        "config": {
-            "backend": "vectorized",
-            "work_items": stop,
-            "n_visibilities": n_vis,
-            "subgrid_size": bench_idg.config.subgrid_size,
-            "kernel_support": bench_idg.config.kernel_support,
-            "time_max": bench_idg.config.time_max,
-            "channel_recurrence": bench_idg.config.channel_recurrence,
-            "batch_bytes": DEFAULT_BATCH_BYTES,
-            "n_baselines": int(uvw.shape[0]),
-            "n_times": int(uvw.shape[1]),
-            "n_channels": int(plan.n_channels),
-            "repeats": BATCHED_REPEATS,
-        },
-        "modes": modes,
-        "speedup": speedup,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_batched.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-    print_series(
-        "Batched vs per-item kernel throughput (vectorized)",
-        ["mode", "grid Mvis/s", "degrid Mvis/s"],
-        [
-            (mode,
-             modes[mode]["gridder"]["visibilities_per_s"] / 1e6,
-             modes[mode]["degridder"]["visibilities_per_s"] / 1e6)
-            for mode in ("per_item", "batched")
-        ] + [("speedup", speedup["gridder"], speedup["degridder"])],
-    )
-    assert speedup["gridder"] >= 1.0 and speedup["degridder"] >= 1.0, (
-        f"batched slower than per-item: {speedup}"
-    )

@@ -12,15 +12,15 @@ points of the pipeline (Fig 4) —
 * **adder/splitter** — master-grid accumulation and extraction —
 
 and every executor (:class:`repro.core.IDG`,
-:class:`repro.parallel.ParallelIDG`, :class:`repro.runtime.StreamingIDG`)
-dispatches through whichever backend the :class:`~repro.core.pipeline.IDG`
+:class:`repro.parallel.ParallelIDG`, :class:`repro.runtime.StreamingIDG`,
+:class:`repro.parallel.ProcessShardedIDG`) dispatches through whichever backend the :class:`~repro.core.pipeline.IDG`
 was configured with.  The equivalence contract — all registered backends
 agree pairwise to ``rtol = 1e-5`` on a shared corpus of plans, and each is
 self-adjoint across grid/degrid — is enforced by ``tests/backends/``; a new
 backend only has to register itself to be held to it.
 
-Backends must be stateless after construction (no per-call mutable members):
-``ParallelIDG`` and ``StreamingIDG`` call one instance from many threads.
+Backends hold no per-call mutable state: the executors call one instance
+from many threads, so any state is set once, in :meth:`KernelBackend.ready`.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from repro.core.adder import split_subgrids as _split_subgrids
 from repro.core.plan import Plan
 from repro.core.subgrid_fft import subgrids_to_fourier as _subgrids_to_fourier
 from repro.core.subgrid_fft import subgrids_to_image as _subgrids_to_image
-
-#: Default number of visibilities per kernel batch (mirrors the core kernels).
-DEFAULT_VIS_BATCH = 1024
-
 
 class KernelBackend:
     """Base class of all kernel backends.
@@ -70,22 +66,12 @@ class KernelBackend:
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> np.ndarray:
-        """Grid work items ``start .. stop-1`` (Algorithm 1, batched).
+        """Grid work items ``start .. stop-1`` (Algorithm 1).
 
         Same signature and semantics as
-        :func:`repro.core.gridder.grid_work_group`; returns the
-        ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
-        ``channel_recurrence`` is advisory — ``native`` always runs the
-        channel-phasor recurrence (on evenly spaced channels), and the
-        ``reference`` oracle always evaluates the direct sum.  ``batched``
-        is likewise advisory: it asks for the shape-bucketed
-        batch-of-subgrids execution (:mod:`repro.parallel.bucketing`), which
-        ``vectorized`` makes optional, ``native`` always uses and
-        ``reference`` ignores.
+        :func:`repro.parallel.bucketing.grid_work_group_batched`; returns
+        the ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
         """
         raise NotImplementedError
 
@@ -102,16 +88,12 @@ class KernelBackend:
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> None:
-        """Degrid work items ``start .. stop-1`` (Algorithm 2, batched).
+        """Degrid work items ``start .. stop-1`` (Algorithm 2).
 
         Same signature and semantics as
-        :func:`repro.core.degridder.degrid_work_group`: predictions are
-        written into ``visibilities_out`` in place.  ``batched`` is advisory
-        as in :meth:`grid_work_group`.
+        :func:`repro.parallel.bucketing.degrid_work_group_batched`:
+        predictions are written into ``visibilities_out`` in place.
         """
         raise NotImplementedError
 

@@ -28,8 +28,10 @@ calls it, so the cost falls in the ``IDG`` constructor and forked workers
 inherit the mapping.  ``ctypes`` releases the GIL for the call, and each call
 runs on the calling thread only: the executors own parallelism.
 
-**Fallback.**  With no compiler, or when the build or load fails, the
-backend logs one warning and delegates every call to ``vectorized``.
+**Fallback.**  :class:`NativeBackend` is :class:`VectorizedBackend` with
+the compiled cores plugged in.  With no compiler, or when the build or load
+fails, it logs one warning and keeps the NumPy cores, so it computes
+exactly what ``vectorized`` does.
 """
 
 from __future__ import annotations
@@ -50,13 +52,10 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 
 from repro.atomicio import atomic_publish
-from repro.backends.base import DEFAULT_VIS_BATCH, KernelBackend
 from repro.backends.vectorized import VectorizedBackend
 from repro.constants import ACCUM_DTYPE
 from repro.core.gridder import PHASOR_RENORM_INTERVAL
-from repro.core.plan import Plan
 from repro.core.scratch import ScratchArena
-from repro.parallel.bucketing import degrid_work_group_batched, grid_work_group_batched
 
 logger = logging.getLogger(__name__)
 
@@ -256,12 +255,13 @@ def _check_shapes(uvw_m, scale0, offsets, lmn, g_total, t_total) -> None:
         )
 
 
-class NativeBackend(KernelBackend):
-    """Compiled channel-recurrence cores; ``vectorized`` when unbuildable.
+class NativeBackend(VectorizedBackend):
+    """``vectorized`` with the compiled channel-recurrence cores.
 
-    With ``channel_recurrence=False`` the bucketed drivers take their NumPy
-    direct-sum path, so that setting still means one sincos per
-    pixel-visibility and the compiled cores are not used.
+    :meth:`ready` sets :attr:`gridder_core` / :attr:`degridder_core` to the
+    loaded library's; on fallback they stay ``None`` and every call runs
+    the NumPy cores.  An unevenly spaced channel ladder takes the NumPy
+    direct sum either way.
     """
 
     name = "native"
@@ -270,11 +270,10 @@ class NativeBackend(KernelBackend):
         self._lock = threading.Lock()
         self._loaded = False
         self._kernels: NativeKernels | None = None
-        self._fallback: VectorizedBackend | None = None
 
     def ready(self) -> None:
         """Build (if needed) and load the library, once; on failure log one
-        warning and fall back to ``vectorized`` for every later call."""
+        warning and keep the NumPy cores for every later call."""
         if self._loaded:
             return
         with self._lock:
@@ -286,77 +285,19 @@ class NativeBackend(KernelBackend):
                 logger.warning(
                     "the 'native' backend falls back to 'vectorized': %s", exc
                 )
-                self._fallback = VectorizedBackend()
+            else:
+                self.gridder_core = self._kernels.gridder_core
+                self.degridder_core = self._kernels.degridder_core
             self._loaded = True
 
     @property
     def is_fallback(self) -> bool:
-        """True when this instance delegates to ``vectorized``."""
+        """True when this instance runs the ``vectorized`` NumPy cores."""
         self.ready()
-        return self._fallback is not None
+        return self._kernels is None
 
     @property
     def kernels(self) -> NativeKernels | None:
         """The loaded cores (``None`` on the fallback path)."""
         self.ready()
         return self._kernels
-
-    # ------------------------------------------------------------- gridder
-
-    def grid_work_group(
-        self,
-        plan: Plan,
-        start: int,
-        stop: int,
-        uvw_m: np.ndarray,
-        visibilities: np.ndarray,
-        taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
-    ) -> np.ndarray:
-        kernels = self.kernels
-        if kernels is None:
-            return self._fallback.grid_work_group(
-                plan, start, stop, uvw_m, visibilities, taper,
-                lmn=lmn, aterm_fields=aterm_fields, vis_batch=vis_batch,
-                channel_recurrence=channel_recurrence, batched=batched,
-            )
-        return grid_work_group_batched(
-            plan, start, stop, uvw_m, visibilities, taper,
-            lmn=lmn, aterm_fields=aterm_fields, channel_recurrence=channel_recurrence,
-            core=kernels.gridder_core,
-        )
-
-    # ----------------------------------------------------------- degridder
-
-    def degrid_work_group(
-        self,
-        plan: Plan,
-        start: int,
-        stop: int,
-        subgrid_images: np.ndarray,
-        uvw_m: np.ndarray,
-        visibilities_out: np.ndarray,
-        taper: np.ndarray,
-        lmn: np.ndarray | None = None,
-        aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
-    ) -> None:
-        kernels = self.kernels
-        if kernels is None:
-            self._fallback.degrid_work_group(
-                plan, start, stop, subgrid_images, uvw_m, visibilities_out,
-                taper, lmn=lmn, aterm_fields=aterm_fields, vis_batch=vis_batch,
-                channel_recurrence=channel_recurrence, batched=batched,
-            )
-            return
-        degrid_work_group_batched(
-            plan, start, stop, subgrid_images, uvw_m, visibilities_out, taper,
-            lmn=lmn, aterm_fields=aterm_fields, channel_recurrence=channel_recurrence,
-            core=kernels.degridder_core,
-        )

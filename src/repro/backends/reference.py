@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import DEFAULT_VIS_BATCH, KernelBackend
+from repro.backends.base import KernelBackend
 from repro.constants import COMPLEX_DTYPE
 from repro.core.gridder import relative_uvw_wavelengths
 from repro.core.plan import Plan
@@ -35,9 +35,6 @@ class ReferenceBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> np.ndarray:
         n = plan.subgrid_size
         image_size = plan.gridspec.image_size
@@ -72,9 +69,6 @@ class ReferenceBackend(KernelBackend):
         taper: np.ndarray,
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-        vis_batch: int = DEFAULT_VIS_BATCH,
-        channel_recurrence: bool = False,
-        batched: bool = False,
     ) -> None:
         image_size = plan.gridspec.image_size
         for k, index in enumerate(range(start, stop)):

@@ -56,15 +56,6 @@ def _add_executor_args(parser: argparse.ArgumentParser) -> None:
         "--backend", default=None, metavar="NAME", help=_backend_help(),
     )
     parser.add_argument(
-        "--batched", dest="batched", action="store_true", default=True,
-        help="shape-bucketed batched kernel execution (default; native "
-        "always batches, reference never does)",
-    )
-    parser.add_argument(
-        "--no-batched", dest="batched", action="store_false",
-        help="per-work-item kernel execution",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None,
         help="worker threads / processes (threads and processes executors; "
         "default: all cores for threads, 2 for processes)",
@@ -452,7 +443,7 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _make_idg(dataset, grid_size, subgrid_size, backend=None, batched=True,
+def _make_idg(dataset, grid_size, subgrid_size, backend=None,
               max_retries=0, retry_backoff=0.05):
     from repro.constants import SPEED_OF_LIGHT
     from repro.core.pipeline import IDG, IDGConfig
@@ -466,8 +457,7 @@ def _make_idg(dataset, grid_size, subgrid_size, backend=None, batched=True,
         idg = IDG(
             gridspec,
             IDGConfig(subgrid_size=subgrid_size, backend=backend,
-                      batched=batched, max_retries=max_retries,
-                      retry_backoff_s=retry_backoff),
+                      max_retries=max_retries, retry_backoff_s=retry_backoff),
         )
     except KeyError as exc:  # unknown --backend / IDG_BACKEND name
         raise SystemExit(f"error: {exc.args[0]}") from exc
@@ -530,8 +520,7 @@ def _cmd_image(args) -> int:
     ds, store = _open_input(args.dataset)
     idg, gridspec = _make_idg(
         ds, args.grid_size, args.subgrid_size, backend=args.backend,
-        batched=args.batched, max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
+        max_retries=args.max_retries, retry_backoff=args.retry_backoff,
     )
     plan = idg.make_plan(ds.uvw_m, ds.frequencies_hz, ds.baselines)
 
@@ -602,7 +591,7 @@ def _cmd_predict(args) -> int:
         model = archive["model"]
     g = model.shape[-1]
     idg, gridspec = _make_idg(
-        ds, g, args.subgrid_size, backend=args.backend, batched=args.batched,
+        ds, g, args.subgrid_size, backend=args.backend,
         max_retries=args.max_retries, retry_backoff=args.retry_backoff,
     )
     model4 = np.zeros((4, g, g), dtype=np.complex128)

@@ -16,8 +16,8 @@ facade.
 """
 
 from repro.core.plan import Plan, PlanStatistics, WorkItem
-from repro.core.gridder import grid_work_group, gridder_subgrid
-from repro.core.degridder import degrid_work_group, degridder_subgrid
+from repro.core.gridder import gridder_bucket, gridder_bucket_fast
+from repro.core.degridder import degridder_bucket, degridder_bucket_fast
 from repro.core.subgrid_fft import subgrids_to_fourier, subgrids_to_image
 from repro.core.adder import (
     add_grid,
@@ -40,10 +40,10 @@ __all__ = [
     "Plan",
     "PlanStatistics",
     "WorkItem",
-    "grid_work_group",
-    "gridder_subgrid",
-    "degrid_work_group",
-    "degridder_subgrid",
+    "gridder_bucket",
+    "gridder_bucket_fast",
+    "degridder_bucket",
+    "degridder_bucket_fast",
     "subgrids_to_fourier",
     "subgrids_to_image",
     "add_grid",

@@ -31,11 +31,14 @@ def reference_gridder(
     aterm_p: np.ndarray | None = None,
     aterm_q: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Algorithm 1, executed with explicit Python loops.
+    """Algorithm 1 for one work item, executed with explicit Python loops.
 
-    Arguments match :func:`repro.core.gridder.gridder_subgrid` except that the
-    subgrid geometry is given by ``(subgrid_size, image_size)`` instead of a
-    precomputed lmn matrix.
+    ``visibilities`` are the ``(M, 2, 2)`` (or ``(M, 4)``) block and
+    ``uvw_rel_wl`` its ``(M, 3)`` relative uvw in wavelengths
+    (:func:`repro.core.gridder.relative_uvw_wavelengths`); the subgrid
+    geometry is given by ``(subgrid_size, image_size)``.  ``aterm_p`` /
+    ``aterm_q`` are optional ``(N, N, 2, 2)`` Jones fields (``None`` is
+    identity).  Returns the ``(N, N, 2, 2)`` image-domain subgrid.
     """
     coords = image_coordinates(subgrid_size, image_size)
     m_total = uvw_rel_wl.shape[0]

@@ -732,7 +732,9 @@ class ChunkedVisibilitySource:
         ``block`` is the masked ``(time_end - time_start,
         channel_end - channel_start, 2, 2)`` visibility block of work item
         ``index`` — exactly the bytes
-        :func:`repro.core.gridder.grid_work_group` reads for that item.
+        the gridder's gather
+        (:func:`repro.parallel.bucketing.gather_visibilities`) reads for that
+        item.
         """
         rows = plan.items[start:stop]
         for k, row in enumerate(rows):

@@ -335,21 +335,39 @@ def grid_work_group_batched(
     taper: np.ndarray,
     lmn: np.ndarray | None = None,
     aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-    channel_recurrence: bool = False,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
     core: GridderCore | None = None,
 ) -> np.ndarray:
-    """Shape-bucketed equivalent of :func:`repro.core.gridder.grid_work_group`.
+    """Run the gridder (Algorithm 1) over work items ``start .. stop-1``.
 
     Buckets the work items by block shape, gathers each bucket into stacked
     tensors and grids it with one batched kernel call (chunked so the phasor
-    scratch stays under ``batch_bytes``).  Returns the same
-    ``(stop - start, N, N, 2, 2)`` complex64 subgrids as the per-item driver,
-    within the differential-corpus tolerance.  ``core`` replaces the
-    channel-recurrence kernel's phasor x visibility sum
-    (:func:`repro.core.gridder.gridder_bucket_fast`); the direct-sum path
-    for unevenly spaced channels always runs in NumPy.
+    scratch stays under ``batch_bytes``).  Evenly spaced channels
+    (:func:`~repro.core.gridder.uniform_channel_step`) take the channel
+    recurrence, :func:`repro.core.gridder.gridder_bucket_fast`, whose phasor
+    x visibility sum ``core`` replaces; any other ladder takes the NumPy
+    direct sum :func:`repro.core.gridder.gridder_bucket`.
+
+    Parameters
+    ----------
+    plan:
+        The execution plan.
+    uvw_m:
+        ``(n_baselines, n_times, 3)`` uvw in metres (full observation).
+    visibilities:
+        ``(n_baselines, n_times, n_channels, 2, 2)`` complex visibilities.
+    taper:
+        ``(N, N)`` taper.
+    lmn:
+        Optional precomputed :func:`~repro.core.gridder.subgrid_lmn`.
+    aterm_fields:
+        Maps ``(station, interval)`` to an ``(N, N, 2, 2)`` Jones field;
+        ``None`` or missing keys mean identity.
+
+    Returns
+    -------
+    ``(stop - start, N, N, 2, 2)`` complex64 image-domain subgrids.
     """
     n = plan.subgrid_size
     if lmn is None:
@@ -357,7 +375,7 @@ def grid_work_group_batched(
     if arena is None:
         arena = thread_arena()
     identity = identity_jones_field(n) if aterm_fields else None
-    ds = uniform_channel_step(plan.frequencies_hz) if channel_recurrence else None
+    ds = uniform_channel_step(plan.frequencies_hz)
     out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
@@ -397,22 +415,24 @@ def degrid_work_group_batched(
     taper: np.ndarray,
     lmn: np.ndarray | None = None,
     aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
-    channel_recurrence: bool = False,
     batch_bytes: int = DEFAULT_BATCH_BYTES,
     arena: ScratchArena | None = None,
     core: DegridderCore | None = None,
 ) -> None:
-    """Shape-bucketed equivalent of
-    :func:`repro.core.degridder.degrid_work_group`: predictions are written
-    into ``visibilities_out`` in place, one batched kernel call per bucket
-    chunk.  ``core`` is as in :func:`grid_work_group_batched`."""
+    """Run the degridder (Algorithm 2) over work items ``start .. stop-1``,
+    writing into ``visibilities_out`` (shape ``(n_baselines, n_times,
+    n_channels, 2, 2)``) in place, one batched kernel call per bucket chunk.
+
+    ``subgrid_images`` holds the ``(stop-start, N, N, 2, 2)`` image-domain
+    subgrids produced by the splitter + inverse subgrid FFT; the kernel
+    choice and ``core`` are as in :func:`grid_work_group_batched`."""
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
     if arena is None:
         arena = thread_arena()
     identity = identity_jones_field(n) if aterm_fields else None
-    ds = uniform_channel_step(plan.frequencies_hz) if channel_recurrence else None
+    ds = uniform_channel_step(plan.frequencies_hz)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
         cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes)

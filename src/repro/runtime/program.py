@@ -89,13 +89,7 @@ class WorkGroupProgram:
         )
         self.runner.report.n_groups = len(self.groups)
         self._backend = idg.backend
-        self._kernel_kw = dict(
-            lmn=idg.lmn,
-            aterm_fields=aterm_fields,
-            vis_batch=config.vis_batch,
-            channel_recurrence=config.channel_recurrence,
-            batched=config.batched,
-        )
+        self._kernel_kw = dict(lmn=idg.lmn, aterm_fields=aterm_fields)
 
     # ------------------------------------------------------------- prologue
 
@@ -121,8 +115,7 @@ class WorkGroupProgram:
             raise ValueError(
                 f"visibilities shape {visibilities.shape} does not match {expected}"
             )
-        if plan.flagged.shape != expected[:3]:
-            raise ValueError("plan was built for a different observation shape")
+        _check_plan_shape(plan, expected)
         visibilities = prepare_visibilities(visibilities, flags)
         if grid is None:
             grid = idg.gridspec.allocate_grid(dtype=COMPLEX_DTYPE)
@@ -150,6 +143,7 @@ class WorkGroupProgram:
         :meth:`repro.core.IDG.degrid`) — ``out`` before any work group
         runs — and build its program."""
         expected = _visibility_shape(plan, uvw_m)
+        _check_plan_shape(plan, expected)
         if out is None:
             out = np.zeros(expected, dtype=COMPLEX_DTYPE)
         elif out.shape != expected:
@@ -289,3 +283,8 @@ def _visibility_shape(plan: Plan, uvw_m: np.ndarray) -> tuple[int, ...]:
         raise ValueError("uvw_m must have a trailing axis of 3")
     return (n_bl, n_times, plan.n_channels, 2, 2)
 
+
+def _check_plan_shape(plan: Plan, expected: tuple[int, ...]) -> None:
+    """Reject ``uvw_m`` of an observation the plan was not built for."""
+    if plan.flagged.shape != expected[:3]:
+        raise ValueError("plan was built for a different observation shape")

@@ -12,8 +12,8 @@ with every hop a bounded channel and a global credit gate holding at most
 ``n_buffers`` work groups in flight — ``n_buffers=1`` degenerates to the
 serial schedule, ``n_buffers=3`` is the paper's triple buffering (Fig 7).
 The stage bodies are the *same kernels* the serial pipeline uses
-(:func:`~repro.core.gridder.grid_work_group`,
-:func:`~repro.core.degridder.degrid_work_group`, the batched subgrid FFTs and
+(the backend's ``grid_work_group`` / ``degrid_work_group``, the batched
+subgrid FFTs and
 the row-parallel adder), so results are bit-identical to ``IDG``: the adder
 stage applies batches in plan order (a reorder buffer absorbs out-of-order
 completion when ``gridder_workers > 1``), and degridding work items write

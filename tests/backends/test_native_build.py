@@ -186,30 +186,30 @@ def test_planted_temp_cache_dir_is_refused(planted, tmp_path, monkeypatch, caplo
 
 
 def test_direct_sum_setting_bypasses_the_cores(warm_cache, monkeypatch):
-    """``channel_recurrence=False`` keeps its meaning under ``native``: the
-    NumPy direct sum runs (bit-equal to batched ``vectorized``) and the
-    compiled cores are never called."""
-    from repro.backends import native
+    """An unevenly spaced (geometric) channel ladder takes the NumPy direct
+    sum under ``native``: the compiled cores are never called and results
+    are bit-equal to ``vectorized``."""
+    from dataclasses import replace
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(warm_cache))
     backend = NativeBackend()
     assert not backend.is_fallback
 
     def no_core(*args, **kwargs):
-        raise AssertionError("compiled core called with channel_recurrence=False")
+        raise AssertionError("compiled core called on an uneven channel ladder")
 
-    monkeypatch.setattr(native.NativeKernels, "gridder_core", no_core)
-    monkeypatch.setattr(native.NativeKernels, "degridder_core", no_core)
+    monkeypatch.setattr(backend, "gridder_core", no_core)
+    monkeypatch.setattr(backend, "degridder_core", no_core)
     obs = ska1_low_observation(
         n_stations=4, n_times=4, n_channels=3, integration_time_s=60.0,
         max_radius_m=300.0, seed=3,
     )
+    obs = replace(obs, frequencies_hz=obs.frequencies_hz[0] * 1.002 ** np.arange(3))
     results = []
-    for name, chosen in (("native", backend), ("vectorized", get_backend("vectorized"))):
+    for chosen in (backend, get_backend("vectorized")):
         idg = IDG(
             obs.fitting_gridspec(64),
-            IDGConfig(subgrid_size=8, kernel_support=2, time_max=4, backend=chosen,
-                      channel_recurrence=False, batched=True),
+            IDGConfig(subgrid_size=8, kernel_support=2, time_max=4, backend=chosen),
         )
         plan = idg.make_plan(obs.uvw_m, obs.frequencies_hz, obs.array.baselines())
         rng = np.random.default_rng(3)
@@ -221,6 +221,7 @@ def test_direct_sum_setting_bypasses_the_cores(warm_cache, monkeypatch):
         results.append((grid, idg.degrid(plan, obs.uvw_m, grid)))
     for got, want in zip(results[0], results[1]):
         np.testing.assert_array_equal(got, want)
+    assert np.abs(results[0][1]).max() > 0
 
 
 def test_sincos_within_two_ulp_of_numpy(warm_cache, monkeypatch):

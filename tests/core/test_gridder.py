@@ -1,15 +1,17 @@
-"""Unit tests for the vectorised gridder kernel vs the literal Algorithm 1."""
+"""Unit tests for the vectorised gridder kernel vs the literal Algorithm 1.
+
+The direct-sum bucket kernel runs at G=1 (one work item per call) except
+where a test stacks several items on purpose.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.gridder import (
-    grid_work_group,
-    gridder_subgrid,
-    relative_uvw_wavelengths,
-    subgrid_lmn,
-)
+from repro.core.gridder import gridder_bucket, relative_uvw_wavelengths, subgrid_lmn
 from repro.core.reference import reference_gridder
+from repro.core.scratch import ScratchArena
+from repro.parallel.bucketing import grid_work_group_batched
+from tests.single_item import grid_item
 from repro.kernels.spheroidal import spheroidal_taper
 from repro.kernels.wkernel import n_term
 
@@ -60,7 +62,7 @@ def test_relative_uvw_layout():
 
 def test_gridder_matches_reference_no_aterms(lmn, taper):
     vis, uvw = _random_block(12, seed=1)
-    fast = gridder_subgrid(vis, uvw, lmn, taper)
+    fast = grid_item(vis, uvw, lmn, taper)
     slow = reference_gridder(vis, uvw, N, IMAGE_SIZE, taper)
     np.testing.assert_allclose(fast, slow.astype(np.complex64), rtol=2e-4, atol=2e-4)
 
@@ -70,24 +72,29 @@ def test_gridder_matches_reference_with_aterms(lmn, taper):
     vis, uvw = _random_block(6, seed=3)
     a_p = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
     a_q = rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
-    fast = gridder_subgrid(vis, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
+    fast = grid_item(vis, uvw, lmn, taper, aterm_p=a_p, aterm_q=a_q)
     slow = reference_gridder(vis, uvw, N, IMAGE_SIZE, taper, aterm_p=a_p, aterm_q=a_q)
     np.testing.assert_allclose(fast, slow.astype(np.complex64), rtol=1e-3, atol=1e-3)
 
 
 def test_gridder_batching_invariance(lmn, taper):
-    vis, uvw = _random_block(33, seed=4)
-    a = gridder_subgrid(vis, uvw, lmn, taper, vis_batch=5)
-    b = gridder_subgrid(vis, uvw, lmn, taper, vis_batch=1000)
-    np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5)
+    """Stacking items into one bucket call changes no item's subgrid."""
+    blocks = [_random_block(11, seed=4 + g) for g in range(3)]
+    vis = np.stack([v.reshape(-1, 4) for v, _ in blocks]).astype(np.complex128)
+    uvw = np.stack([u for _, u in blocks])
+    stacked = gridder_bucket(vis, uvw, lmn, taper, arena=ScratchArena())
+    for g, (v, u) in enumerate(blocks):
+        np.testing.assert_allclose(
+            stacked[g], grid_item(v, u, lmn, taper), rtol=1e-5, atol=1e-5
+        )
 
 
 def test_gridder_linearity_in_visibilities(lmn, taper):
     vis1, uvw = _random_block(10, seed=5)
     vis2, _ = _random_block(10, seed=6)
-    s1 = gridder_subgrid(vis1, uvw, lmn, taper).astype(np.complex128)
-    s2 = gridder_subgrid(vis2, uvw, lmn, taper).astype(np.complex128)
-    s12 = gridder_subgrid(vis1 + vis2, uvw, lmn, taper).astype(np.complex128)
+    s1 = grid_item(vis1, uvw, lmn, taper).astype(np.complex128)
+    s2 = grid_item(vis2, uvw, lmn, taper).astype(np.complex128)
+    s12 = grid_item(vis1 + vis2, uvw, lmn, taper).astype(np.complex128)
     np.testing.assert_allclose(s12, s1 + s2, rtol=1e-3, atol=1e-4)
 
 
@@ -95,7 +102,7 @@ def test_zero_uvw_accumulates_plain_sum(lmn, taper):
     """With all uvw = 0 the phasor is 1: the subgrid is taper * sum(V)."""
     vis, _ = _random_block(7, seed=7)
     uvw = np.zeros((7, 3))
-    out = gridder_subgrid(vis, uvw, lmn, taper)
+    out = grid_item(vis, uvw, lmn, taper)
     expected = taper[:, :, np.newaxis, np.newaxis] * vis.sum(axis=0)
     np.testing.assert_allclose(out, expected.astype(np.complex64), rtol=1e-5, atol=1e-5)
 
@@ -105,7 +112,7 @@ def test_single_polarization_isolation(lmn, taper):
     vis = np.zeros((3, 2, 2), dtype=np.complex64)
     vis[:, 0, 1] = 1.0 + 2.0j
     _, uvw = _random_block(3, seed=8)
-    out = gridder_subgrid(vis, uvw, lmn, taper)
+    out = grid_item(vis, uvw, lmn, taper)
     assert np.abs(out[..., 0, 0]).max() == 0
     assert np.abs(out[..., 1, 0]).max() == 0
     assert np.abs(out[..., 1, 1]).max() == 0
@@ -115,14 +122,14 @@ def test_single_polarization_isolation(lmn, taper):
 def test_gridder_shape_validation(lmn, taper):
     vis, uvw = _random_block(4, seed=9)
     with pytest.raises(ValueError):
-        gridder_subgrid(vis, uvw[:3], lmn, taper)
+        grid_item(vis, uvw[:3], lmn, taper)
     with pytest.raises(ValueError):
-        gridder_subgrid(vis, uvw, lmn[: N * N - 3], taper)
+        grid_item(vis, uvw, lmn[: N * N - 3], taper)
 
 
 def test_grid_work_group_end_to_end(small_plan, small_obs, single_source_vis, small_idg):
     """The work-group driver must agree with calling the kernel manually."""
-    out = grid_work_group(
+    out = grid_work_group_batched(
         small_plan, 0, 3, small_obs.uvw_m, single_source_vis, small_idg.taper,
         lmn=small_idg.lmn,
     )
@@ -138,5 +145,5 @@ def test_grid_work_group_end_to_end(small_plan, small_obs, single_source_vis, sm
         item.baseline, item.time_start : item.time_end,
         item.channel_start : item.channel_end,
     ].reshape(-1, 2, 2)
-    manual = gridder_subgrid(vis_block, rel, small_idg.lmn, small_idg.taper)
+    manual = grid_item(vis_block, rel, small_idg.lmn, small_idg.taper)
     np.testing.assert_allclose(out[1], manual, atol=1e-6)

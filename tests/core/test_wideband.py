@@ -5,21 +5,16 @@ together, so its rounding error compounds multiplicatively; the fast kernels
 renormalise the phasor magnitude every
 :data:`repro.core.gridder.PHASOR_RENORM_INTERVAL` channel steps to keep the
 drift at single-precision levels.  These tests pin fast-vs-direct agreement
-at 512 channels — eight renormalisation intervals deep.
+of the bucketed kernels (at G=1) at 512 channels — eight renormalisation
+intervals deep.
 """
 
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.degridder import degridder_subgrid, degridder_subgrid_fast
-from repro.core.gridder import (
-    PHASOR_RENORM_INTERVAL,
-    gridder_subgrid,
-    gridder_subgrid_fast,
-    relative_uvw_wavelengths,
-    subgrid_lmn,
-)
+from repro.core.gridder import PHASOR_RENORM_INTERVAL, relative_uvw_wavelengths, subgrid_lmn
 from repro.kernels.spheroidal import spheroidal_taper
+from tests.single_item import degrid_item, degrid_item_fast, grid_item, grid_item_fast
 
 N = 10
 IMAGE_SIZE = 0.06
@@ -46,8 +41,8 @@ def test_wideband_spans_several_renorm_intervals():
 def test_wideband_gridder_fast_matches_direct():
     lmn, taper, uvw_m, freqs, vis, offset = _setup()
     rel = relative_uvw_wavelengths(uvw_m, freqs, offset[0], offset[1], offset[2])
-    direct = gridder_subgrid(vis.reshape(-1, 2, 2), rel, lmn, taper)
-    fast = gridder_subgrid_fast(
+    direct = grid_item(vis.reshape(-1, 2, 2), rel, lmn, taper)
+    fast = grid_item_fast(
         vis, uvw_m, freqs / SPEED_OF_LIGHT, offset, lmn, taper
     )
     scale = np.abs(direct).max()
@@ -61,8 +56,8 @@ def test_wideband_degridder_fast_matches_direct():
         rng.standard_normal((N, N, 2, 2)) + 1j * rng.standard_normal((N, N, 2, 2))
     ).astype(np.complex64)
     rel = relative_uvw_wavelengths(uvw_m, freqs, offset[0], offset[1], offset[2])
-    direct = degridder_subgrid(sub, rel, lmn, taper).reshape(T, C, 2, 2)
-    fast = degridder_subgrid_fast(
+    direct = degrid_item(sub, rel, lmn, taper).reshape(T, C, 2, 2)
+    fast = degrid_item_fast(
         sub, uvw_m, freqs / SPEED_OF_LIGHT, offset, lmn, taper
     )
     scale = np.abs(direct).max()
@@ -78,8 +73,8 @@ def test_renorm_interval_boundary_exact():
         rel = relative_uvw_wavelengths(
             uvw_m, freqs[:c], offset[0], offset[1], offset[2]
         )
-        direct = gridder_subgrid(vis[:, :c].reshape(-1, 2, 2), rel, lmn, taper)
-        fast = gridder_subgrid_fast(
+        direct = grid_item(vis[:, :c].reshape(-1, 2, 2), rel, lmn, taper)
+        fast = grid_item_fast(
             vis[:, :c], uvw_m, freqs[:c] / SPEED_OF_LIGHT, offset, lmn, taper
         )
         scale = np.abs(direct).max()

@@ -157,23 +157,44 @@ def test_gather_rel_uvw_matches_per_item(small_plan, small_obs):
 # ------------------------------------------------------- batched == per-item
 
 
-@pytest.mark.parametrize("channel_recurrence", [False, True],
+def _item_inputs(plan, index, uvw_m):
+    """One work item's uvw block, ``f/c`` ladder and subgrid offset."""
+    item = plan.work_item(index)
+    u_mid, v_mid = plan.subgrid_centre_uv(index)
+    freqs = plan.frequencies_hz[item.channel_start:item.channel_end]
+    uvw = uvw_m[item.baseline, item.time_start:item.time_end]
+    return item, uvw, freqs, np.array([u_mid, v_mid, plan.w_offset])
+
+
+@pytest.mark.parametrize("recurrence", [False, True],
                          ids=["direct", "recurrence"])
 def test_grid_batched_matches_per_item_driver(small_idg, small_plan, small_obs,
                                               single_source_vis,
-                                              channel_recurrence):
-    from repro.core.gridder import grid_work_group
+                                              recurrence):
+    """The bucketed driver equals one G=1 kernel call per work item, by the
+    direct sum or the recurrence."""
+    from repro.core.gridder import relative_uvw_wavelengths
+    from tests.single_item import grid_item, grid_item_fast
 
     stop = min(24, small_plan.n_subgrids)
-    per_item = grid_work_group(
-        small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn,
-        channel_recurrence=channel_recurrence,
-    )
+    lmn, taper = small_idg.lmn, small_idg.taper
+    per_item = []
+    for index in range(stop):
+        item, uvw, freqs, offset = _item_inputs(small_plan, index, small_obs.uvw_m)
+        block = single_source_vis[
+            item.baseline, item.time_start:item.time_end,
+            item.channel_start:item.channel_end,
+        ]
+        if recurrence:
+            per_item.append(grid_item_fast(
+                block, uvw, freqs / SPEED_OF_LIGHT, offset, lmn, taper
+            ))
+        else:
+            rel = relative_uvw_wavelengths(uvw, freqs, *offset)
+            per_item.append(grid_item(block.reshape(-1, 2, 2), rel, lmn, taper))
+    per_item = np.stack(per_item)
     batched = grid_work_group_batched(
-        small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn,
-        channel_recurrence=channel_recurrence,
+        small_plan, 0, stop, small_obs.uvw_m, single_source_vis, taper, lmn=lmn,
     )
     scale = float(np.abs(per_item).max())
     np.testing.assert_allclose(
@@ -183,7 +204,9 @@ def test_grid_batched_matches_per_item_driver(small_idg, small_plan, small_obs,
 
 def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
                                                 small_obs, single_source_vis):
-    from repro.core.degridder import degrid_work_group
+    """The bucketed driver scatters what one G=1 recurrence kernel call per
+    work item predicts."""
+    from tests.single_item import degrid_item_fast
 
     stop = min(24, small_plan.n_subgrids)
     rng = np.random.default_rng(7)
@@ -194,14 +217,19 @@ def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
     ).astype(np.complex64)
 
     per_item = np.zeros_like(single_source_vis)
-    degrid_work_group(
-        small_plan, 0, stop, images, small_obs.uvw_m, per_item,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
-    )
+    for index in range(stop):
+        item, uvw, freqs, offset = _item_inputs(small_plan, index, small_obs.uvw_m)
+        per_item[
+            item.baseline, item.time_start:item.time_end,
+            item.channel_start:item.channel_end,
+        ] = degrid_item_fast(
+            images[index], uvw, freqs / SPEED_OF_LIGHT, offset,
+            small_idg.lmn, small_idg.taper,
+        )
     batched = np.zeros_like(single_source_vis)
     degrid_work_group_batched(
         small_plan, 0, stop, images, small_obs.uvw_m, batched,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
+        small_idg.taper, lmn=small_idg.lmn,
     )
     scale = float(np.abs(per_item).max())
     np.testing.assert_allclose(
@@ -216,11 +244,10 @@ def test_tiny_batch_budget_still_matches(small_idg, small_plan, small_obs,
     stop = min(12, small_plan.n_subgrids)
     roomy = grid_work_group_batched(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
+        small_idg.taper, lmn=small_idg.lmn,
     )
     chunked = grid_work_group_batched(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis,
-        small_idg.taper, lmn=small_idg.lmn, channel_recurrence=True,
-        batch_bytes=1,
+        small_idg.taper, lmn=small_idg.lmn, batch_bytes=1,
     )
     np.testing.assert_allclose(chunked, roomy, rtol=1e-12)

@@ -125,3 +125,23 @@ def test_wrong_out_rejected_before_any_work(aterm_case, executor, monkeypatch):
         _engine(w["idg"], executor).degrid(
             w["plan"], w["obs"].uvw_m, w["model"], out=wrong
         )
+
+
+@pytest.mark.parametrize("executor", EXECUTORS)
+@pytest.mark.parametrize("axis", [0, 1], ids=["baselines", "timesteps"])
+def test_wrong_uvw_rejected_before_any_work(aterm_case, executor, axis, monkeypatch):
+    """A ``uvw_m`` the plan was not built for (more baselines or timesteps)
+    is rejected in the degrid prologue, as in the grid one: before any stage
+    runs or any worker spawns, not answered with zeros."""
+    from repro.parallel import process
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before uvw_m was validated")
+
+    w = aterm_case
+    monkeypatch.setattr(process._ShardSupervisor, "_spawn", refuse)
+    monkeypatch.setattr(type(w["idg"].backend), "split_subgrids", refuse)
+    uvw_m = w["obs"].uvw_m
+    doubled = np.concatenate([uvw_m, uvw_m], axis=axis)
+    with pytest.raises(ValueError, match="different observation shape"):
+        _engine(w["idg"], executor).degrid(w["plan"], doubled, w["model"])

@@ -4,14 +4,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.degridder import degridder_subgrid
-from repro.core.gridder import gridder_subgrid, subgrid_lmn
+from repro.core.gridder import subgrid_lmn
 from repro.core.plan import Plan
 from repro.gridspec import GridSpec
 from repro.kernels.spheroidal import spheroidal_taper
 from repro.telescope.array import StationArray, baseline_pairs
 from repro.telescope.layouts import random_disc_layout
 from repro.telescope.observation import Observation
+from tests.single_item import degrid_item, grid_item
 
 
 @given(
@@ -32,8 +32,8 @@ def test_gridder_degridder_adjoint_property(n, m, seed):
     sub = (rng.standard_normal((n, n, 2, 2)) + 1j * rng.standard_normal((n, n, 2, 2))).astype(
         np.complex64
     )
-    lhs = np.vdot(gridder_subgrid(vis, uvw, lmn, taper).astype(np.complex128), sub)
-    rhs = np.vdot(vis, degridder_subgrid(sub, uvw, lmn, taper).astype(np.complex128))
+    lhs = np.vdot(grid_item(vis, uvw, lmn, taper).astype(np.complex128), sub)
+    rhs = np.vdot(vis, degrid_item(sub, uvw, lmn, taper).astype(np.complex128))
     scale = max(abs(lhs), abs(rhs), 1.0)
     assert abs(lhs - rhs) / scale < 2e-3
 
@@ -98,8 +98,8 @@ def test_gridder_scaling_homogeneity(n, m, seed, scale):
     vis = (rng.standard_normal((m, 2, 2)) + 1j * rng.standard_normal((m, 2, 2))).astype(
         np.complex64
     )
-    a = gridder_subgrid((scale * vis).astype(np.complex64), uvw, lmn, taper)
-    b = gridder_subgrid(vis, uvw, lmn, taper)
+    a = grid_item((scale * vis).astype(np.complex64), uvw, lmn, taper)
+    b = grid_item(vis, uvw, lmn, taper)
     np.testing.assert_allclose(
         a.astype(np.complex128), scale * b.astype(np.complex128), rtol=1e-3, atol=1e-4
     )
