@@ -19,12 +19,7 @@ from repro.core.plan import Plan, PlanStatistics, WorkItem
 from repro.core.gridder import gridder_bucket, gridder_bucket_fast
 from repro.core.degridder import degridder_bucket, degridder_bucket_fast
 from repro.core.subgrid_fft import subgrids_to_fourier, subgrids_to_image
-from repro.core.adder import (
-    add_grid,
-    add_subgrids,
-    split_subgrids,
-    tree_reduce_grids,
-)
+from repro.core.adder import add_subgrids, split_subgrids
 from repro.core.pipeline import IDG, IDGConfig
 from repro.core.scratch import (
     ArenaStats,
@@ -46,10 +41,8 @@ __all__ = [
     "degridder_bucket_fast",
     "subgrids_to_fourier",
     "subgrids_to_image",
-    "add_grid",
     "add_subgrids",
     "split_subgrids",
-    "tree_reduce_grids",
     "IDG",
     "IDGConfig",
     "ArenaStats",

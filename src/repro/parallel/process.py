@@ -7,23 +7,17 @@ each worker grids its shard into slabs backed by
 ``multiprocessing.shared_memory`` (:mod:`repro.parallel.shm`), and the parent
 reduces the results into the master grid.
 
-Reduction modes
----------------
-``exact`` (default)
-    Workers only produce per-group Fourier subgrid slabs; the **parent**
-    applies them to the master grid with the serial adder in ascending
-    work-group order.  Floating-point addition order is therefore identical
-    to the serial executor's fold, so the result is **bit-identical** to
-    :meth:`repro.core.IDG.grid` — the property the cross-executor conformance
-    suite pins.  Because groups retire in plan order, checkpoints are
-    prefix-closed and resume is bit-exact (PR 5 semantics).
-``tree``
-    Each shard additionally folds its groups into a private partial grid in
-    shared memory, and the parent combines the shard grids with the pinned
-    pairwise reduction of :func:`repro.core.adder.tree_reduce_grids`.
-    Deterministic run-to-run (the pairing is a pure function of the shard
-    count) but *not* bit-identical to serial — addition is reassociated.
-    Checkpoint/resume is refused in this mode.
+Plan-order merge
+----------------
+Workers only produce per-group Fourier subgrid slabs; the **parent** applies
+them to the master grid with the serial adder in ascending work-group order.
+Floating-point addition order is therefore identical to the serial
+executor's fold, so the result is **bit-identical** to
+:meth:`repro.core.IDG.grid` — the property the cross-executor conformance
+suite pins.  Because groups retire in plan order, the parent merge loop
+reports each retirement to a :class:`~repro.runtime.checkpoint.Checkpointer`:
+checkpoints are prefix-closed and resume is bit-exact.  Re-runs are safe:
+workers only write their slab, and the parent adds each group once.
 
 Worker/parent protocol
 ----------------------
@@ -47,13 +41,7 @@ fault plan) a death raises :class:`~repro.runtime.recovery.WorkGroupError`.
 Workers and parent run the shared work-group program
 (:mod:`repro.runtime.program`): each worker builds one over the arena
 slabs and runs its shard's stage calls; the parent's program owns the
-prologue, the exact-mode adder, the fault report and the epilogue.
-
-Not exactly-once: in ``tree`` mode a worker killed mid-add can leave a
-partial contribution in its shard grid which a re-run then duplicates — the
-same caveat the serial adder documents for genuine mid-add failures.  In
-``exact`` mode re-runs are safe: workers only write their slab, and the
-parent adds each group once.
+prologue, the adder, the fault report and the epilogue.
 """
 
 from __future__ import annotations
@@ -69,7 +57,6 @@ import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
-from repro.core.adder import add_grid, tree_reduce_grids
 from repro.core.pipeline import IDG, IDGConfig
 from repro.core.plan import Plan
 from repro.data.store import ChunkedVisibilitySource, open_store
@@ -79,7 +66,7 @@ from repro.parallel.partition import (
     plan_group_weights,
 )
 from repro.parallel.shm import ArenaSpec, SharedArena
-from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
+from repro.runtime.checkpoint import Checkpointer, save_checkpoint
 from repro.runtime.faults import FaultPlan, FaultSpec, InjectedCrash
 from repro.runtime.program import WorkGroupProgram
 from repro.runtime.recovery import (
@@ -102,7 +89,9 @@ _PENDING, _DONE, _DEAD, _FAILED = 0, 1, 2, 3
 _ERROR_BYTES = 240
 _STAGE_BYTES = 16
 
-_REDUCTIONS = ("exact", "tree")
+#: Parent sleep between status polls while a group is pending.
+_POLL_INTERVAL_S = 0.002
+
 _START_METHODS = ("spawn", "fork", "forkserver")
 
 
@@ -122,19 +111,15 @@ class ProcessConfig:
     ----------
     n_procs:
         Worker processes (shards).
-    reduction:
-        ``"exact"`` (bit-identical to serial, module docstring) or
-        ``"tree"`` (pinned pairwise shard-grid reduction).
     start_method:
         ``multiprocessing`` start method.  ``"spawn"`` is the portable
         default; ``"fork"`` starts workers orders of magnitude faster on
         Linux (no interpreter + NumPy re-import) and is what the scaling
         benchmark uses.
-    poll_interval_s:
-        Parent sleep between status polls while a group is pending.
     checkpoint_path / checkpoint_interval / resume_from:
-        PR 5 checkpoint semantics for gridding (exact reduction only): a
-        snapshot every ``checkpoint_interval`` retired groups, a final one on
+        Gridding checkpoints, as for ``RuntimeConfig``
+        (:class:`~repro.runtime.checkpoint.Checkpointer`): a snapshot every
+        ``checkpoint_interval`` groups retired in the run, a final one on
         completion *and* on abort, and bit-exact resume that skips the
         checkpoint's completed groups.
     emulate_compute_s:
@@ -144,9 +129,7 @@ class ProcessConfig:
     """
 
     n_procs: int = 2
-    reduction: str = "exact"
     start_method: str = "spawn"
-    poll_interval_s: float = 0.002
     checkpoint_path: str | None = None
     checkpoint_interval: int = 4
     resume_from: str | None = None
@@ -155,28 +138,15 @@ class ProcessConfig:
     def __post_init__(self) -> None:
         if self.n_procs <= 0:
             raise ValueError("n_procs must be positive")
-        if self.reduction not in _REDUCTIONS:
-            raise ValueError(
-                f"reduction must be one of {_REDUCTIONS}, got {self.reduction!r}"
-            )
         if self.start_method not in _START_METHODS:
             raise ValueError(
                 f"start_method must be one of {_START_METHODS}, "
                 f"got {self.start_method!r}"
             )
-        if self.poll_interval_s < 0:
-            raise ValueError("poll_interval_s must be non-negative")
         if self.checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         if self.emulate_compute_s < 0:
             raise ValueError("emulate_compute_s must be non-negative")
-        if self.reduction != "exact" and (
-            self.checkpoint_path is not None or self.resume_from is not None
-        ):
-            raise ValueError(
-                "checkpoint/resume requires exact reduction: tree-reduced "
-                "shard grids are not a plan-order prefix sum"
-            )
 
 
 @dataclass(frozen=True)
@@ -196,7 +166,6 @@ class _ShardTask:
     fault_specs: tuple[FaultSpec, ...] | None
     seeded_attempts: tuple[tuple[str, int, int], ...]
     emulate_compute_s: float
-    reduction: str
     aterm_fields: dict[tuple[int, int], np.ndarray] | None
     #: Chunked-store directory to read visibilities from (out-of-core
     #: gridding).  When set there is no "vis" slab in the arena: each worker
@@ -261,13 +230,7 @@ def _shard_program(
         vis = open_store(task.store_path).source()
     else:
         vis = arena["vis"]
-    shard_grid = (
-        arena["shardgrids"][task.shard] if task.reduction == "tree" else None
-    )
-    return WorkGroupProgram(
-        idg, task.plan, arena["uvw"], grid=shard_grid, visibilities=vis,
-        **common,
-    )
+    return WorkGroupProgram(idg, task.plan, arena["uvw"], visibilities=vis, **common)
 
 
 def _run_group(task: _ShardTask, program: WorkGroupProgram, arena: SharedArena,
@@ -280,7 +243,7 @@ def _run_group(task: _ShardTask, program: WorkGroupProgram, arena: SharedArena,
         return False
     start, stop = program.groups[group]
     arena["fourier"][start:stop] = fourier
-    return task.reduction != "tree" or program.adder(group, fourier)
+    return True
 
 
 def _run_shard(task: _ShardTask, program: WorkGroupProgram, arena: SharedArena) -> None:
@@ -377,7 +340,7 @@ class _ShardSupervisor:
                 if int(self.status[group]) == _PENDING:
                     self._on_death(shard)
                 continue
-            time.sleep(self.config.poll_interval_s)
+            time.sleep(_POLL_INTERVAL_S)
         return int(self.status[group])
 
     def shutdown(self) -> None:
@@ -452,14 +415,13 @@ class ProcessShardedIDG:
         policy and backend come from its ``IDGConfig``; workers rebuild the
         same pipeline from it).
     config:
-        :class:`ProcessConfig`; defaults to two workers, exact reduction,
-        ``spawn`` start method.
+        :class:`ProcessConfig`; defaults to two workers and the ``spawn``
+        start method.
     faults:
         Optional deterministic fault-injection plan.  Worker-side stages
-        (``gridder``/``subgrid_fft``/``degridder``, plus ``adder`` in tree
-        mode) fire inside the worker processes; ``adder`` faults fire in the
-        parent in exact mode; ``crash`` faults kill the worker process for
-        real (SIGKILL).
+        (``gridder``/``subgrid_fft``/``degridder``) fire inside the worker
+        processes; ``adder`` faults fire in the parent; ``crash`` faults
+        kill the worker process for real (SIGKILL).
     n_procs:
         Shorthand overriding ``config.n_procs``.
 
@@ -516,7 +478,6 @@ class ProcessShardedIDG:
             fault_specs=self.faults.specs if self.faults is not None else None,
             seeded_attempts=(),
             emulate_compute_s=self.config.emulate_compute_s,
-            reduction=self.config.reduction,
             aterm_fields=program.aterm_fields,
             store_path=store_path,
         )
@@ -598,8 +559,8 @@ class ProcessShardedIDG:
         """Process-parallel equivalent of :meth:`repro.core.IDG.grid` (same
         keywords).
 
-        In exact reduction mode the result is bit-identical to the serial
-        executor (module docstring); quarantined work groups are excluded
+        The result is bit-identical to the serial executor (module
+        docstring); quarantined work groups are excluded
         and reported on ``last_fault_report`` exactly like the other
         executors.  A store-backed
         :class:`~repro.data.store.ChunkedVisibilitySource` is passed to the
@@ -607,7 +568,6 @@ class ProcessShardedIDG:
         store's visibility file read-only itself (sharing the page cache),
         so out-of-core datasets never cross the process boundary.
         """
-        cfg = self.config
         telemetry = Telemetry()
         self.last_telemetry = telemetry
         program = WorkGroupProgram.gridding(
@@ -616,7 +576,6 @@ class ProcessShardedIDG:
             telemetry=telemetry,
         )
         self.last_fault_report = program.fault_report
-        master = program.grid
         vis = program.visibilities
         store_path = None
         if isinstance(vis, ChunkedVisibilitySource):
@@ -626,26 +585,11 @@ class ProcessShardedIDG:
                 # the store does not record) cannot be re-opened inside the
                 # workers; fall back to the shared-memory slab.
                 vis = vis.materialize()
+        # Snapshots go through this module's `save_checkpoint`, looked up
+        # per run, so a caller may wrap it.
+        checkpoint = Checkpointer(program, self.config, save=save_checkpoint)
 
-        signature = None
-        completed: set[int] = set()
-        if cfg.checkpoint_path is not None or cfg.resume_from is not None:
-            signature = plan_signature(plan, self.idg.config.work_group_size)
-        if cfg.resume_from is not None:
-            ckpt = load_checkpoint(cfg.resume_from, signature=signature)
-            completed = set(ckpt.completed_set)
-            np.copyto(master, ckpt.grid)
-        resumed = frozenset(completed)
-        n_retired = len(completed)
-
-        def save_snapshot() -> None:
-            save_checkpoint(
-                cfg.checkpoint_path, master, completed, signature,
-                n_retired=n_retired,
-            )
-            program.runner.report.n_checkpoints += 1
-
-        with SharedArena() as arena:
+        with SharedArena() as arena, checkpoint:
             np.copyto(arena.allocate("uvw", uvw_m.shape, uvw_m.dtype), uvw_m)
             if store_path is None:
                 np.copyto(arena.allocate("vis", vis.shape, vis.dtype), vis)
@@ -653,44 +597,26 @@ class ProcessShardedIDG:
             fourier = arena.allocate(
                 "fourier", (plan.n_subgrids, n, n, 2, 2), COMPLEX_DTYPE
             )
-            if cfg.reduction == "tree":
-                g = self.idg.gridspec.grid_size
-                shardgrids = arena.allocate(
-                    "shardgrids", (cfg.n_procs, 4, g, g), COMPLEX_DTYPE
-                )
             supervisor = self._supervisor(
-                program, arena, "grid", skip=resumed, store_path=store_path
+                program, arena, "grid", skip=checkpoint.resumed,
+                store_path=store_path,
             )
             try:
                 supervisor.start()
                 for group, done in self._retired(program, supervisor, arena):
-                    if done and cfg.reduction == "exact":
+                    if done:
                         start, stop = program.groups[group]
                         t0 = monotonic()
                         done = program.adder(group, fourier[start:stop])
                         telemetry.record_span(
                             "adder", group, t0, monotonic(), worker="parent"
                         )
-                    if done:
-                        completed.add(group)
-                    n_retired += 1
-                    if cfg.checkpoint_path is not None and (
-                        (n_retired - len(resumed)) % cfg.checkpoint_interval == 0
-                    ):
-                        save_snapshot()
-                if cfg.reduction == "tree":
-                    partials = [
-                        shardgrids[shard].copy()
-                        for shard in range(cfg.n_procs)
-                    ]
-                    add_grid(master, tree_reduce_grids(partials))
+                    checkpoint.retire(group, done)
             finally:
+                # Workers are reaped before the final snapshot (written on
+                # success *and* on abort as `checkpoint` exits).
                 supervisor.shutdown()
-                if cfg.checkpoint_path is not None:
-                    # Final snapshot on success *and* on abort, so a killed
-                    # run resumes bit-exactly from the last retired prefix.
-                    save_snapshot()
-        return program.finish(skipped=resumed)
+        return program.finish(skipped=checkpoint.resumed)
 
     # ----------------------------------------------------------- degridding
 

@@ -1,11 +1,16 @@
-"""Checkpoint/resume for streaming gridding runs.
+"""Checkpoint/resume for gridding runs.
 
-:class:`~repro.runtime.StreamingIDG` periodically snapshots the master grid
-plus the set of retired work-group ids while gridding
-(``RuntimeConfig.checkpoint_path`` / ``checkpoint_interval``), and a later
-run started with ``RuntimeConfig.resume_from`` (CLI ``--resume``) skips the
-completed groups.  Resume is *bit-exact*: the adder stage retires groups in
-plan order, so a checkpoint taken after groups ``0..k`` holds exactly the
+Gridding retires work groups onto the master grid in plan order, whichever
+executor schedules them: the adder stage of
+:class:`~repro.runtime.StreamingIDG` and the parent merge loop of
+:class:`~repro.parallel.process.ProcessShardedIDG`.  Both hand each
+retirement to one :class:`Checkpointer`, built from their config's
+``checkpoint_path`` / ``checkpoint_interval`` / ``resume_from``.  It
+snapshots the master grid plus the set of retired work-group ids every
+``checkpoint_interval`` retirements and once more when the run ends, on
+completion *and* on abort; a later run started with ``resume_from`` (CLI
+``--resume``) restores the grid and skips the completed groups.  Resume is
+*bit-exact*: a checkpoint taken after groups ``0..k`` holds exactly the
 floating-point prefix sum an uninterrupted run would have at that point, and
 resuming adds the remaining groups in the same order onto the same bits.
 
@@ -21,15 +26,19 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 from repro.atomicio import atomic_savez_compressed
 from repro.hashing import ContentHasher
 
+if TYPE_CHECKING:
+    from repro.runtime.program import WorkGroupProgram
+
 __all__ = [
     "CHECKPOINT_VERSION",
+    "Checkpointer",
     "GridCheckpoint",
     "load_checkpoint",
     "plan_signature",
@@ -144,3 +153,76 @@ def load_checkpoint(
             "or work-group size differ (refusing to resume)"
         )
     return ckpt
+
+
+class Checkpointer:
+    """The checkpoint/resume bookkeeping of one gridding run.
+
+    Built from the executor's config (any object with ``checkpoint_path``,
+    ``checkpoint_interval`` and ``resume_from``) over the run's gridding
+    ``program``.  Construction restores ``program.grid`` from
+    ``resume_from``, replacing any caller-supplied grid; :attr:`resumed`
+    is the set of groups the run must skip.  The executor then reports
+    every retired group, in plan order, to :meth:`retire`, inside a
+    ``with`` block whose exit writes the final snapshot — on completion and
+    on abort alike, so the caller must leave the grid quiescent by then.
+
+    ``save`` writes one snapshot (:func:`save_checkpoint` by default); each
+    write counts as one ``checkpoints`` telemetry counter.
+    """
+
+    def __init__(
+        self,
+        program: WorkGroupProgram,
+        config: Any,
+        save: Callable[..., pathlib.Path] = save_checkpoint,
+    ) -> None:
+        self.path = config.checkpoint_path
+        self.interval = config.checkpoint_interval
+        self._program = program
+        self._save = save
+        self._signature: str | None = None
+        self._completed: set[int] = set()
+        if self.path is not None or config.resume_from is not None:
+            self._signature = plan_signature(
+                program.plan, program.idg.config.work_group_size
+            )
+        if config.resume_from is not None:
+            ckpt = load_checkpoint(config.resume_from, signature=self._signature)
+            self._completed = set(ckpt.completed_set)
+            # The snapshot holds the prefix sum of exactly these groups; the
+            # run continues from those bits.
+            np.copyto(program.grid, ckpt.grid)
+        self.resumed = frozenset(self._completed)
+        #: Groups retired so far, resumed ones included (the snapshot's
+        #: ``n_retired``).
+        self.n_retired = len(self.resumed)
+
+    def retire(self, group: int, done: bool) -> None:
+        """Record one retired group (``done`` False when quarantined) and
+        snapshot after every ``interval`` retirements of this run."""
+        if done:
+            self._completed.add(group)
+        self.n_retired += 1
+        if (
+            self.path is not None
+            and (self.n_retired - len(self.resumed)) % self.interval == 0
+        ):
+            self._snapshot()
+
+    def _snapshot(self) -> None:
+        """Write the grid and the retirement record to ``path``."""
+        self._save(
+            self.path, self._program.grid, self._completed, self._signature,
+            n_retired=self.n_retired,
+        )
+        telemetry = self._program.runner.telemetry
+        if telemetry is not None:
+            telemetry.add_counter("checkpoints", 1)
+
+    def __enter__(self) -> Checkpointer:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.path is not None:
+            self._snapshot()

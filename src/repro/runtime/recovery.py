@@ -168,7 +168,6 @@ class FaultReport:
     n_retries: int = 0
     n_groups: int = 0
     n_groups_completed: int = 0
-    n_checkpoints: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property

@@ -13,11 +13,10 @@ with every hop a bounded channel and a global credit gate holding at most
 serial schedule, ``n_buffers=3`` is the paper's triple buffering (Fig 7).
 The stage bodies are the *same kernels* the serial pipeline uses
 (the backend's ``grid_work_group`` / ``degrid_work_group``, the batched
-subgrid FFTs and
-the row-parallel adder), so results are bit-identical to ``IDG``: the adder
-stage applies batches in plan order (a reorder buffer absorbs out-of-order
-completion when ``gridder_workers > 1``), and degridding work items write
-disjoint visibility blocks.
+subgrid FFTs and the serial adder), so results are bit-identical to ``IDG``:
+the adder stage applies batches in plan order (a reorder buffer absorbs
+out-of-order completion when ``gridder_workers > 1``), and degridding work
+items write disjoint visibility blocks.
 
 Each stage body is one stage call of the shared work-group program
 (:mod:`repro.runtime.program`), so the kernels, their keywords, the retry
@@ -28,7 +27,8 @@ work group dead-lettered at one stage becomes a
 remaining stages, so sequencing and credit accounting stay exact.  Gridding
 can additionally checkpoint the master grid plus the retired-group set to
 disk (atomic write-then-rename) and later resume bit-exactly, skipping
-completed groups (:mod:`repro.runtime.checkpoint`).
+completed groups: the adder stage reports each retirement to a
+:class:`~repro.runtime.checkpoint.Checkpointer`.
 
 Every run produces a :class:`~repro.runtime.telemetry.Telemetry` (span
 timings, queue occupancy, retry/dead-letter/checkpoint counters,
@@ -48,7 +48,7 @@ import numpy as np
 from repro.aterms.generators import ATermGenerator
 from repro.constants import COMPLEX_DTYPE
 from repro.core.plan import Plan
-from repro.runtime.checkpoint import load_checkpoint, plan_signature, save_checkpoint
+from repro.runtime.checkpoint import Checkpointer
 from repro.runtime.faults import FaultPlan
 from repro.runtime.graph import StageGraph
 from repro.runtime.memory import record_memory_gauges
@@ -74,10 +74,8 @@ class RuntimeConfig:
     gridder_workers:
         Threads in the gridder stage (its BLAS products release the GIL).
     fft_workers:
-        Threads in the subgrid FFT/iFFT stage.
-    adder_row_workers:
-        Row bands of the lock-free adder (`1` uses the serial fast path,
-        which is bit-identical to :func:`repro.core.adder.add_subgrids`).
+        Threads in the subgrid FFT/iFFT stage.  The adder stage is one
+        thread running the serial adder.
     degridder_workers:
         Threads in the degridder stage (work items write disjoint blocks,
         so no synchronisation is needed).
@@ -91,9 +89,10 @@ class RuntimeConfig:
     checkpoint_path:
         When set, ``grid`` snapshots the master grid plus the retired
         work-group set to this ``.npz`` path (atomically) every
-        ``checkpoint_interval`` retired groups, and once more when the run
-        completes.  Ignored by ``degrid`` (its output has no accumulated
-        state worth snapshotting — a restarted degrid simply re-runs).
+        ``checkpoint_interval`` groups retired in the run, and once more
+        when the run completes or aborts.  Ignored by ``degrid`` (its output
+        has no accumulated state worth snapshotting — a restarted degrid
+        simply re-runs).
     checkpoint_interval:
         Retired work groups between snapshots.
     resume_from:
@@ -107,7 +106,6 @@ class RuntimeConfig:
     n_buffers: int = 3
     gridder_workers: int = 1
     fft_workers: int = 1
-    adder_row_workers: int = 1
     degridder_workers: int = 1
     emulate_pcie_gbs: float | None = None
     checkpoint_path: str | None = None
@@ -117,7 +115,7 @@ class RuntimeConfig:
     def __post_init__(self) -> None:
         for name in (
             "n_buffers", "gridder_workers", "fft_workers",
-            "adder_row_workers", "degridder_workers", "checkpoint_interval",
+            "degridder_workers", "checkpoint_interval",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -223,53 +221,30 @@ class StreamingIDG:
             telemetry=tm,
         )
         self.last_fault_report = program.fault_report
-        out_grid = program.grid
-
-        ckpt_path = cfg.checkpoint_path
-        signature = None
-        if ckpt_path is not None or cfg.resume_from is not None:
-            signature = plan_signature(plan, self.idg.config.work_group_size)
-        completed: set[int] = set()
-        if cfg.resume_from is not None:
-            ckpt = load_checkpoint(cfg.resume_from, signature=signature)
-            completed = set(ckpt.completed_set)
-            # The snapshot holds the prefix sum of exactly `completed`;
-            # resuming continues from those bits (replacing any caller grid).
-            out_grid[...] = np.asarray(ckpt.grid).reshape(out_grid.shape)
-        resumed = frozenset(completed)
-        pending = [g for g in range(len(program.groups)) if g not in resumed]
+        checkpoint = Checkpointer(program, cfg)
+        pending = [
+            g for g in range(len(program.groups)) if g not in checkpoint.resumed
+        ]
 
         gate = CreditGate(cfg.n_buffers, telemetry=tm, name="in_flight")
         reorder: dict[int, Any] = {}
         next_seq = 0
-        n_retired = 0
-
-        def write_checkpoint() -> None:
-            # Runs inside the single-worker adder stage: the grid is quiescent
-            # (the adder is its only mutator), so the snapshot is consistent.
-            save_checkpoint(
-                ckpt_path, out_grid, completed, signature,
-                n_retired=n_retired,
-            )
-            tm.add_counter("checkpoints", 1)
-            program.runner.report.n_checkpoints += 1
 
         def do_add(seq: int, item: tuple[int, Any]) -> None:
             # Apply batches in plan order so the floating-point accumulation
             # order — and hence the result — is bit-identical to the serial
             # adder, even when gridder workers complete out of order.  A
             # quarantined group adds nothing but still releases its credit
-            # and advances the sequence.
-            nonlocal next_seq, n_retired
+            # and advances the sequence.  This single-worker stage is the
+            # grid's only mutator, so every snapshot sees a quiescent grid.
+            nonlocal next_seq
             reorder[seq] = item
             while next_seq in reorder:
                 group, fourier = reorder.pop(next_seq)
-                if program.adder(group, fourier, n_workers=cfg.adder_row_workers):
-                    completed.add(group)
+                done = program.adder(group, fourier)
                 gate.release()
                 next_seq += 1
-                n_retired += 1
-                if program.source is not None and n_retired % 8 == 0:
+                if program.source is not None and next_seq % 8 == 0:
                     # Retired groups' file pages are dead weight: evict them
                     # and snapshot the memory gauges so the trace shows RSS
                     # staying flat as data streams through.  Every 8th group
@@ -278,8 +253,7 @@ class StreamingIDG:
                     # bounded by 8 groups' worth of file pages.
                     program.drop_caches()
                     record_memory_gauges(tm)
-                if ckpt_path is not None and n_retired % cfg.checkpoint_interval == 0:
-                    write_checkpoint()
+                checkpoint.retire(group, done)
 
         graph = StageGraph("grid", n_buffers=cfg.n_buffers, telemetry=tm)
         graph.add_abortable(gate)
@@ -302,12 +276,13 @@ class StreamingIDG:
         if cfg.emulate_pcie_gbs is not None:
             graph.add_stage("dtoh", self._link(lambda group, fourier: fourier.nbytes))
         graph.add_sink("adder", do_add)
-        graph.run()
-        if ckpt_path is not None:
-            write_checkpoint()
+        with checkpoint:
+            # `run` joins every stage thread before it re-raises, so the
+            # final snapshot of an aborted run also sees a quiescent grid.
+            graph.run()
         record_memory_gauges(tm)
         self.last_telemetry = tm
-        return program.finish(skipped=resumed)
+        return program.finish(skipped=checkpoint.resumed)
 
     # ----------------------------------------------------------- degridding
 
