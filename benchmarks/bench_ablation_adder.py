@@ -22,7 +22,7 @@ def test_ablation_adder_strategies(benchmark, bench_plan):
     n = bench_plan.subgrid_size
     k = min(192, bench_plan.n_subgrids)
     subgrids = (
-        rng.standard_normal((k, n, n, 2, 2)) + 1j * rng.standard_normal((k, n, n, 2, 2))
+        rng.standard_normal((k, 4, n, n)) + 1j * rng.standard_normal((k, 4, n, n))
     ).astype(np.complex64)
 
     def measure():

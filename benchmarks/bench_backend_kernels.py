@@ -89,7 +89,7 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
             "fallback_to": "vectorized" if fallback else None,
         }
         rows.append(
-            (name, n_vis / t_grid / 1e6, n_vis / t_degrid / 1e6,
+            (name, os.cpu_count(), n_vis / t_grid / 1e6, n_vis / t_degrid / 1e6,
              "vectorized" if fallback else "-")
         )
 
@@ -132,7 +132,7 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
 
     print_series(
         "Backend kernel throughput",
-        ["backend", "grid Mvis/s", "degrid Mvis/s", "fallback"],
+        ["backend", "cpus", "grid Mvis/s", "degrid Mvis/s", "fallback"],
         rows,
     )
     print_series(

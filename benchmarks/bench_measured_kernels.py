@@ -60,7 +60,7 @@ def test_bench_subgrid_fft(benchmark, bench_plan):
     n = bench_plan.subgrid_size
     k = min(256, bench_plan.n_subgrids)
     subgrids = (
-        rng.standard_normal((k, n, n, 2, 2)) + 1j * rng.standard_normal((k, n, n, 2, 2))
+        rng.standard_normal((k, 4, n, n)) + 1j * rng.standard_normal((k, 4, n, n))
     ).astype(np.complex64)
     out = benchmark(subgrids_to_fourier, subgrids)
     assert out.shape == subgrids.shape
@@ -71,7 +71,7 @@ def test_bench_adder(benchmark, bench_plan):
     n = bench_plan.subgrid_size
     k = min(256, bench_plan.n_subgrids)
     subgrids = (
-        rng.standard_normal((k, n, n, 2, 2)) + 1j * rng.standard_normal((k, n, n, 2, 2))
+        rng.standard_normal((k, 4, n, n)) + 1j * rng.standard_normal((k, 4, n, n))
     ).astype(np.complex64)
     grid = bench_plan.gridspec.allocate_grid()
 

@@ -10,7 +10,7 @@ bindings shared across the whole call::
         uvw_rel_wl="(G, M, 3)",
         lmn="(N**2, 3)",
         taper="(N, N)",
-        returns="(G, N, N, 2, 2)",
+        returns="(G, 4, N, N)",
     )
     def gridder_bucket(visibilities, uvw_rel_wl, lmn, taper, ...): ...
 

@@ -71,7 +71,7 @@ class KernelBackend:
 
         Same signature and semantics as
         :func:`repro.parallel.bucketing.grid_work_group_batched`; returns
-        the ``(stop - start, N, N, 2, 2)`` image-domain subgrids.
+        the ``(stop - start, 4, N, N)`` pol-major image-domain subgrids.
         """
         raise NotImplementedError
 

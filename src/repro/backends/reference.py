@@ -6,7 +6,9 @@ participates in the differential harness as a peer backend rather than a
 special case inside individual tests.  It always evaluates the direct sum —
 one sine/cosine per (pixel, visibility), no channel recurrence, no batching —
 which is exactly what makes it authoritative and orders of magnitude slower
-than the others; the test corpus keeps its work items tiny.
+than the others; the test corpus keeps its work items tiny.  The oracle
+works on one ``(N, N, 2, 2)`` subgrid at a time; this backend converts to and
+from the pipeline's pol-major ``(G, 4, N, N)`` layout at its own boundary.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class ReferenceBackend(KernelBackend):
     ) -> np.ndarray:
         n = plan.subgrid_size
         image_size = plan.gridspec.image_size
-        out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
+        out = np.empty((stop - start, 4, n, n), dtype=COMPLEX_DTYPE)
         for k, index in enumerate(range(start, stop)):
             item = plan.work_item(index)
             u_mid, v_mid = plan.subgrid_centre_uv(index)
@@ -53,9 +55,10 @@ class ReferenceBackend(KernelBackend):
             rel = relative_uvw_wavelengths(
                 uvw_block, freqs, u_mid, v_mid, plan.w_offset
             )
-            out[k] = reference_gridder(
+            subgrid = reference_gridder(
                 vis_flat, rel, n, image_size, taper, aterm_p=a_p, aterm_q=a_q
             )
+            out[k] = subgrid.reshape(n * n, 4).T.reshape(4, n, n)
         return out
 
     def degrid_work_group(
@@ -70,6 +73,7 @@ class ReferenceBackend(KernelBackend):
         lmn: np.ndarray | None = None,
         aterm_fields: dict[tuple[int, int], np.ndarray] | None = None,
     ) -> None:
+        n = plan.subgrid_size
         image_size = plan.gridspec.image_size
         for k, index in enumerate(range(start, stop)):
             item = plan.work_item(index)
@@ -80,8 +84,9 @@ class ReferenceBackend(KernelBackend):
             rel = relative_uvw_wavelengths(
                 uvw_block, freqs, u_mid, v_mid, plan.w_offset
             )
+            subgrid = subgrid_images[k].reshape(4, n * n).T.reshape(n, n, 2, 2)
             vis = reference_degridder(
-                subgrid_images[k], rel, image_size, taper, aterm_p=a_p, aterm_q=a_q
+                subgrid, rel, image_size, taper, aterm_p=a_p, aterm_q=a_q
             ).reshape(item.n_times, item.n_channels, 2, 2)
             visibilities_out[
                 item.baseline,

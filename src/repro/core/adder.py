@@ -9,6 +9,9 @@ degridding, trivially parallel over subgrids.
 
 Grid layout: ``(4, grid_size, grid_size)`` with polarisation order
 XX, XY, YX, YY; the first pixel axis is v (rows), the second u (columns).
+Subgrids use the same pol-major order, ``(k, 4, N, N)``, so adding one is a
+plain slice add ``grid[:, v:v+N, u:u+N] += subgrid`` and splitting one is a
+plain slice copy: no transpose on either side.
 """
 
 from __future__ import annotations
@@ -19,19 +22,7 @@ from repro.analysis.contracts import shape_checked
 from repro.core.plan import Plan
 
 
-def _pol_major(subgrids: np.ndarray) -> np.ndarray:
-    """View ``(k, N, N, 2, 2)`` subgrids as ``(k, 4, N, N)`` (pol-major)."""
-    k, n = subgrids.shape[0], subgrids.shape[1]
-    return subgrids.reshape(k, n, n, 4).transpose(0, 3, 1, 2)
-
-
-def _pol_minor(subgrids_pol: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_pol_major`: ``(k, 4, N, N)`` -> ``(k, N, N, 2, 2)``."""
-    k, _, n, _ = subgrids_pol.shape
-    return subgrids_pol.transpose(0, 2, 3, 1).reshape(k, n, n, 2, 2)
-
-
-@shape_checked(grid="(4, G, G)", subgrids_fourier="(k, N, N, 2, 2)")
+@shape_checked(grid="(4, G, G)", subgrids_fourier="(k, 4, N, N)")
 def add_subgrids(
     grid: np.ndarray,
     plan: Plan,
@@ -47,7 +38,7 @@ def add_subgrids(
     plan:
         The execution plan (supplies each subgrid's corner).
     subgrids_fourier:
-        ``(k, N, N, 2, 2)`` uv-domain subgrids for work items
+        ``(k, 4, N, N)`` pol-major uv-domain subgrids for work items
         ``start .. start+k-1``.
     start:
         Index of the first work item in the batch.
@@ -55,28 +46,27 @@ def add_subgrids(
     n = plan.subgrid_size
     if grid.shape != (4, plan.gridspec.grid_size, plan.gridspec.grid_size):
         raise ValueError(f"grid shape {grid.shape} does not match plan")
-    pol = _pol_major(subgrids_fourier)
     for k in range(subgrids_fourier.shape[0]):
         row = plan.items[start + k]
         cu, cv = int(row["corner_u"]), int(row["corner_v"])
-        grid[:, cv : cv + n, cu : cu + n] += pol[k]
+        grid[:, cv : cv + n, cu : cu + n] += subgrids_fourier[k]
 
 
-@shape_checked(grid="(4, G, G)", returns="(k, N, N, 2, 2)")
+@shape_checked(grid="(4, G, G)", returns="(k, 4, N, N)")
 def split_subgrids(
     grid: np.ndarray,
     plan: Plan,
     start: int,
     stop: int,
 ) -> np.ndarray:
-    """Extract the ``(stop-start, N, N, 2, 2)`` uv-domain subgrids for a
+    """Extract the ``(stop-start, 4, N, N)`` uv-domain subgrids for a
     work-item range (read-only on the grid; safe to run concurrently)."""
     n = plan.subgrid_size
     if grid.shape != (4, plan.gridspec.grid_size, plan.gridspec.grid_size):
         raise ValueError(f"grid shape {grid.shape} does not match plan")
-    out_pol = np.empty((stop - start, 4, n, n), dtype=grid.dtype)
+    out = np.empty((stop - start, 4, n, n), dtype=grid.dtype)
     for k, index in enumerate(range(start, stop)):
         row = plan.items[index]
         cu, cv = int(row["corner_u"]), int(row["corner_v"])
-        out_pol[k] = grid[:, cv : cv + n, cu : cu + n]
-    return _pol_minor(out_pol)
+        out[k] = grid[:, cv : cv + n, cu : cu + n]
+    return out

@@ -43,11 +43,13 @@ def _corrected_pixels_bucket(
     aterm_q: np.ndarray | None,
     arena: ScratchArena,
 ) -> np.ndarray:
-    """Taper + A-term-corrected pixels of a bucket, as ``(G, N**2, 4)``
-    complex128 (the shared preamble of both batched degridder kernels)."""
-    g_total, n = subgrid_images.shape[:2]
+    """Taper + A-term-corrected pixels of a ``(G, 4, N, N)`` bucket, as
+    ``(G, N**2, 4)`` complex128 (the shared preamble of both batched
+    degridder kernels).  The pol-major input is read through a transposed
+    view, so the transpose rides on the cast-copy into the scratch."""
+    g_total, _, n, _ = subgrid_images.shape
     corrected = arena.take("degridder.corrected", (g_total, n, n, 2, 2), ACCUM_DTYPE)
-    corrected[...] = subgrid_images
+    corrected[...] = subgrid_images.transpose(0, 2, 3, 1).reshape(g_total, n, n, 2, 2)
     if aterm_p is not None or aterm_q is not None:
         corrected = apply_sandwich(aterm_p, corrected, aterm_q)
     corrected *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
@@ -65,7 +67,7 @@ DegridderCore = Callable[
 
 
 @shape_checked(
-    subgrid_images="(G, N, N, 2, 2)",
+    subgrid_images="(G, 4, N, N)",
     uvw_m="(G, T, 3)",
     scale0="(G,)",
     offsets="(G, 3)",
@@ -101,7 +103,7 @@ def degridder_bucket_fast(
     Parameters
     ----------
     subgrid_images:
-        ``(G, N, N, 2, 2)`` stacked image-domain subgrids.
+        ``(G, 4, N, N)`` stacked pol-major image-domain subgrids.
     uvw_m:
         ``(G, T, 3)`` stacked uvw in metres.
     scale0:
@@ -185,7 +187,7 @@ def degridder_bucket_core(
 
 
 @shape_checked(
-    subgrid_images="(G, N, N, 2, 2)",
+    subgrid_images="(G, 4, N, N)",
     uvw_rel_wl="(G, M, 3)",
     lmn="(N**2, 3)",
     taper="(N, N)",
@@ -211,7 +213,7 @@ def degridder_bucket(
     Parameters
     ----------
     subgrid_images:
-        ``(G, N, N, 2, 2)`` stacked image-domain subgrids.
+        ``(G, 4, N, N)`` stacked pol-major image-domain subgrids.
     uvw_rel_wl:
         ``(G, M, 3)`` stacked relative uvw in wavelengths.
     lmn, taper, aterm_p, aterm_q:

@@ -147,6 +147,26 @@ def _sincos_into(phase: np.ndarray, out: np.ndarray) -> None:
     np.sin(phase, out=out.imag)
 
 
+def _finished_subgrids(
+    acc: np.ndarray,
+    taper: np.ndarray,
+    aterm_p: np.ndarray | None,
+    aterm_q: np.ndarray | None,
+) -> np.ndarray:
+    """A-term adjoint sandwich and taper on a bucket's ``(G, N**2, 4)``
+    accumulators (in place when there is no sandwich), returned as a
+    ``(G, 4, N, N)`` pol-major view (the shared tail of both batched
+    gridder kernels)."""
+    g_total, n = acc.shape[0], taper.shape[0]
+    subgrids = acc.reshape(g_total, n, n, 2, 2)
+    if aterm_p is not None or aterm_q is not None:
+        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
+    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
+    return subgrids.reshape(g_total, n * n, 4).transpose(0, 2, 1).reshape(
+        g_total, 4, n, n
+    )
+
+
 #: Signature of a gridder core: ``(visibilities, uvw_m, scale0, ds, offsets,
 #: lmn, arena) -> (G, N**2, 4)`` complex128 accumulators, an arena view.
 GridderCore = Callable[
@@ -164,7 +184,7 @@ GridderCore = Callable[
     taper="(N, N)",
     aterm_p="(G, N, N, 2, 2)",
     aterm_q="(G, N, N, 2, 2)",
-    returns="(G, N, N, 2, 2)",
+    returns="(G, 4, N, N)",
 )
 def gridder_bucket_fast(
     visibilities: np.ndarray,
@@ -233,21 +253,17 @@ def gridder_bucket_fast(
 
     Returns
     -------
-    ``(G, N, N, 2, 2)`` complex128 image-domain subgrids.  The array is a
-    view into the arena — copy it out (the work-group drivers assign it
-    into their output array) before the next batched call on this thread.
+    ``(G, 4, N, N)`` complex128 pol-major image-domain subgrids.  The array
+    is a transposed view into the arena — copy it out (the work-group
+    drivers cast it into their output array) before the next batched call
+    on this thread.
     """
-    n = int(np.sqrt(lmn.shape[0]))
     if arena is None:
         arena = thread_arena()
     acc = (core or gridder_bucket_core)(
         visibilities, uvw_m, scale0, ds, offsets, lmn, arena
     )
-    subgrids = acc.reshape(acc.shape[0], n, n, 2, 2)
-    if aterm_p is not None or aterm_q is not None:
-        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
-    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
-    return subgrids
+    return _finished_subgrids(acc, taper, aterm_p, aterm_q)
 
 
 def gridder_bucket_core(
@@ -304,7 +320,7 @@ def gridder_bucket_core(
     taper="(N, N)",
     aterm_p="(G, N, N, 2, 2)",
     aterm_q="(G, N, N, 2, 2)",
-    returns="(G, N, N, 2, 2)",
+    returns="(G, 4, N, N)",
 )
 def gridder_bucket(
     visibilities: np.ndarray,
@@ -335,12 +351,11 @@ def gridder_bucket(
 
     Returns
     -------
-    ``(G, N, N, 2, 2)`` complex128 subgrids (an arena view — see
+    ``(G, 4, N, N)`` complex128 pol-major subgrids (an arena view — see
     :func:`gridder_bucket_fast`).
     """
     g_total, m_total = visibilities.shape[:2]
     n_pixels2 = lmn.shape[0]
-    n = int(np.sqrt(n_pixels2))
     if arena is None:
         arena = thread_arena()
 
@@ -352,12 +367,7 @@ def gridder_bucket(
 
     acc = arena.take("gridder.acc", (g_total, n_pixels2, 4), ACCUM_DTYPE)
     np.matmul(phasor, visibilities, out=acc)
-
-    subgrids = acc.reshape(g_total, n, n, 2, 2)
-    if aterm_p is not None or aterm_q is not None:
-        subgrids = apply_adjoint_sandwich(aterm_p, subgrids, aterm_q)
-    subgrids *= taper[np.newaxis, :, :, np.newaxis, np.newaxis]
-    return subgrids
+    return _finished_subgrids(acc, taper, aterm_p, aterm_q)
 
 
 def uniform_channel_step(frequencies_hz: np.ndarray) -> float | None:

@@ -14,10 +14,16 @@ This module owns the bucketing pass and the gather/scatter between the
 observation-shaped arrays (``(n_baselines, n_times, n_channels, ...)``) and
 the stacked bucket tensors (``(G, T, 3)`` uvw, ``(G, T, C, 4)``
 visibilities, ``(G, 3)`` subgrid offsets, ``(G, N, N, 2, 2)`` A-term
-fields).  Gathers write into :class:`~repro.core.scratch.ScratchArena`
-views so the steady state allocates nothing; the batched kernels in
-:mod:`repro.core.gridder` / :mod:`repro.core.degridder` consume the stacked
-tensors directly.
+fields, ``(G, 4, N, N)`` subgrids).  Gathers write into
+:class:`~repro.core.scratch.ScratchArena` views so the steady state
+allocates nothing; the batched kernels in :mod:`repro.core.gridder` /
+:mod:`repro.core.degridder` consume the stacked tensors directly.
+
+Subgrids cross every stage boundary in the pol-major ``(G, 4, N, N)``
+layout of the master grid.  The kernels keep a private pixel-major
+``(G, N**2, 4)`` complex128 scratch; the drivers here and the kernels'
+shared pre- and post-ambles convert between the two inside the cast-copies
+they make anyway, so no other module knows the kernel layout.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ __all__ = [
     "gather_rel_uvw",
     "gather_visibilities",
     "gather_aterm_fields",
+    "gather_subgrids",
     "scatter_visibilities",
     "grid_work_group_batched",
     "degrid_work_group_batched",
@@ -293,6 +300,25 @@ def gather_aterm_fields(
     return a_p, a_q
 
 
+def gather_subgrids(
+    subgrids: np.ndarray,
+    local: np.ndarray,
+    arena: ScratchArena,
+    key: str = "gather.subgrids",
+) -> np.ndarray:
+    """Stack the ``(4, N, N)`` subgrids ``subgrids[local]`` of one chunk into
+    a ``(G, 4, N, N)`` arena view.
+
+    Copies item by item, so the cost is the chunk's bytes whatever the
+    source's strides (``np.take`` from a non-contiguous source copies the
+    whole source first).
+    """
+    out = arena.take(key, (int(local.size), *subgrids.shape[1:]), subgrids.dtype)
+    for g in range(local.size):
+        out[g] = subgrids[int(local[g])]
+    return out
+
+
 # ------------------------------------------------------------------ scatter
 
 
@@ -367,7 +393,8 @@ def grid_work_group_batched(
 
     Returns
     -------
-    ``(stop - start, N, N, 2, 2)`` complex64 image-domain subgrids.
+    ``(stop - start, 4, N, N)`` complex64 pol-major image-domain subgrids
+    (each chunk's pol-major kernel view is cast into it in one copy).
     """
     n = plan.subgrid_size
     if lmn is None:
@@ -376,7 +403,7 @@ def grid_work_group_batched(
         arena = thread_arena()
     identity = identity_jones_field(n) if aterm_fields else None
     ds = uniform_channel_step(plan.frequencies_hz)
-    out = np.empty((stop - start, n, n, 2, 2), dtype=COMPLEX_DTYPE)
+    out = np.empty((stop - start, 4, n, n), dtype=COMPLEX_DTYPE)
     for bucket in bucket_work_items(plan, start, stop):
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
         cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes)
@@ -423,9 +450,10 @@ def degrid_work_group_batched(
     writing into ``visibilities_out`` (shape ``(n_baselines, n_times,
     n_channels, 2, 2)``) in place, one batched kernel call per bucket chunk.
 
-    ``subgrid_images`` holds the ``(stop-start, N, N, 2, 2)`` image-domain
-    subgrids produced by the splitter + inverse subgrid FFT; the kernel
-    choice and ``core`` are as in :func:`grid_work_group_batched`."""
+    ``subgrid_images`` holds the ``(stop-start, 4, N, N)`` pol-major
+    image-domain subgrids produced by the splitter + inverse subgrid FFT;
+    each chunk gathers only its own items (:func:`gather_subgrids`).  The
+    kernel choice and ``core`` are as in :func:`grid_work_group_batched`."""
     n = plan.subgrid_size
     if lmn is None:
         lmn = subgrid_lmn(n, plan.gridspec.image_size)
@@ -437,10 +465,7 @@ def degrid_work_group_batched(
         n_phase = bucket.n_times if ds is not None else bucket.n_times * bucket.n_channels
         cap = max_bucket_items(lmn.shape[0], n_phase, batch_bytes)
         for indices in iter_bucket_chunks(bucket, cap):
-            images = arena.take(
-                "gather.subgrids", (len(indices), n, n, 2, 2), subgrid_images.dtype
-            )
-            np.take(subgrid_images, indices - start, axis=0, out=images)
+            images = gather_subgrids(subgrid_images, indices - start, arena)
             a_p, a_q = gather_aterm_fields(plan, indices, aterm_fields, identity, arena)
             if ds is not None:
                 block = degridder_bucket_fast(

@@ -24,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.adder import _pol_major
 from repro.core.plan import Plan
 from repro.parallel.batching import chunk_ranges
 
@@ -52,21 +51,22 @@ class RowPartition:
 def _add_band(
     grid: np.ndarray,
     plan: Plan,
-    subgrids_pol: np.ndarray,
+    subgrids_fourier: np.ndarray,
     start: int,
     band: tuple[int, int],
 ) -> None:
-    """Add the band-intersecting rows of every subgrid (one worker's share)."""
+    """Add the band-intersecting rows of every ``(4, N, N)`` subgrid (one
+    worker's share)."""
     lo, hi = band
     n = plan.subgrid_size
-    for k in range(subgrids_pol.shape[0]):
+    for k in range(subgrids_fourier.shape[0]):
         row = plan.items[start + k]
         cu, cv = int(row["corner_u"]), int(row["corner_v"])
         r0 = max(cv, lo)
         r1 = min(cv + n, hi)
         if r0 >= r1:
             continue
-        grid[:, r0:r1, cu : cu + n] += subgrids_pol[k, :, r0 - cv : r1 - cv, :]
+        grid[:, r0:r1, cu : cu + n] += subgrids_fourier[k, :, r0 - cv : r1 - cv, :]
 
 
 @dataclass(frozen=True)
@@ -168,19 +168,19 @@ def add_subgrids_row_parallel(
 ) -> None:
     """Lock-free parallel adder: workers own disjoint row bands.
 
+    ``subgrids_fourier`` is ``(k, 4, N, N)``, as for the serial adder.
     Result is bit-identical to :func:`repro.core.adder.add_subgrids` (up to
     floating-point addition order within a band, which is unchanged).
     """
     if grid.shape != (4, plan.gridspec.grid_size, plan.gridspec.grid_size):
         raise ValueError(f"grid shape {grid.shape} does not match plan")
     partition = RowPartition.create(plan.gridspec.grid_size, n_workers)
-    pol = _pol_major(subgrids_fourier)
     if n_workers == 1:
-        _add_band(grid, plan, pol, start, partition.bands[0])
+        _add_band(grid, plan, subgrids_fourier, start, partition.bands[0])
         return
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         futures = [
-            pool.submit(_add_band, grid, plan, pol, start, band)
+            pool.submit(_add_band, grid, plan, subgrids_fourier, start, band)
             for band in partition.bands
         ]
         for f in futures:

@@ -595,7 +595,7 @@ class ProcessShardedIDG:
                 np.copyto(arena.allocate("vis", vis.shape, vis.dtype), vis)
             n = plan.subgrid_size
             fourier = arena.allocate(
-                "fourier", (plan.n_subgrids, n, n, 2, 2), COMPLEX_DTYPE
+                "fourier", (plan.n_subgrids, 4, n, n), COMPLEX_DTYPE
             )
             supervisor = self._supervisor(
                 program, arena, "grid", skip=checkpoint.resumed,

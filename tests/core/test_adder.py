@@ -10,14 +10,14 @@ def _subgrids_like(plan, count, seed=0):
     n = plan.subgrid_size
     rng = np.random.default_rng(seed)
     return (
-        rng.standard_normal((count, n, n, 2, 2)) + 1j * rng.standard_normal((count, n, n, 2, 2))
+        rng.standard_normal((count, 4, n, n)) + 1j * rng.standard_normal((count, 4, n, n))
     ).astype(np.complex64)
 
 
 def test_add_places_subgrid_at_corner(small_plan):
     grid = small_plan.gridspec.allocate_grid()
-    subs = np.zeros((1, small_plan.subgrid_size, small_plan.subgrid_size, 2, 2), np.complex64)
-    subs[0, 3, 5, 0, 0] = 7.0  # y=3, x=5, pol XX
+    subs = np.zeros((1, 4, small_plan.subgrid_size, small_plan.subgrid_size), np.complex64)
+    subs[0, 0, 3, 5] = 7.0  # pol XX, y=3, x=5
     add_subgrids(grid, small_plan, subs, start=0)
     row = small_plan.items[0]
     assert grid[0, row["corner_v"] + 3, row["corner_u"] + 5] == pytest.approx(7.0)
@@ -40,9 +40,9 @@ def test_flux_conservation(small_plan):
     count = min(10, small_plan.n_subgrids)
     subs = _subgrids_like(small_plan, count, seed=2)
     add_subgrids(grid, small_plan, subs, start=0)
-    # compare per polarisation: grid is pol-major, subs pol-minor
+    # compare per polarisation: grid and subgrids are both pol-major
     grid_sum = grid.sum(axis=(1, 2))
-    subs_sum = subs.sum(axis=(0, 1, 2)).reshape(4)
+    subs_sum = subs.sum(axis=(0, 2, 3))
     np.testing.assert_allclose(grid_sum, subs_sum, rtol=1e-4)
 
 

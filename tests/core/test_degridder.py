@@ -12,7 +12,7 @@ from repro.core.gridder import subgrid_lmn
 from repro.core.reference import reference_degridder
 from repro.core.scratch import ScratchArena
 from repro.kernels.spheroidal import spheroidal_taper
-from tests.single_item import degrid_item, grid_item
+from tests.single_item import degrid_item, grid_item, to_pol_major
 
 
 N = 8
@@ -64,7 +64,7 @@ def test_degridder_batching_invariance(lmn, taper):
     """Stacking items into one bucket call changes no item's predictions."""
     subs = np.stack([_random_subgrid(5 + g) for g in range(3)])
     uvws = np.stack([_random_uvw(9, seed=6 + g) for g in range(3)])
-    stacked = degridder_bucket(subs, uvws, lmn, taper, arena=ScratchArena())
+    stacked = degridder_bucket(to_pol_major(subs), uvws, lmn, taper, arena=ScratchArena())
     for g in range(3):
         np.testing.assert_allclose(
             stacked[g].reshape(-1, 2, 2),

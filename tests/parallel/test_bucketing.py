@@ -174,7 +174,7 @@ def test_grid_batched_matches_per_item_driver(small_idg, small_plan, small_obs,
     """The bucketed driver equals one G=1 kernel call per work item, by the
     direct sum or the recurrence."""
     from repro.core.gridder import relative_uvw_wavelengths
-    from tests.single_item import grid_item, grid_item_fast
+    from tests.single_item import grid_item, grid_item_fast, to_pol_major
 
     stop = min(24, small_plan.n_subgrids)
     lmn, taper = small_idg.lmn, small_idg.taper
@@ -192,7 +192,7 @@ def test_grid_batched_matches_per_item_driver(small_idg, small_plan, small_obs,
         else:
             rel = relative_uvw_wavelengths(uvw, freqs, *offset)
             per_item.append(grid_item(block.reshape(-1, 2, 2), rel, lmn, taper))
-    per_item = np.stack(per_item)
+    per_item = to_pol_major(np.stack(per_item))
     batched = grid_work_group_batched(
         small_plan, 0, stop, small_obs.uvw_m, single_source_vis, taper, lmn=lmn,
     )
@@ -206,12 +206,12 @@ def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
                                                 small_obs, single_source_vis):
     """The bucketed driver scatters what one G=1 recurrence kernel call per
     work item predicts."""
-    from tests.single_item import degrid_item_fast
+    from tests.single_item import degrid_item_fast, to_pol_minor
 
     stop = min(24, small_plan.n_subgrids)
     rng = np.random.default_rng(7)
     n = small_plan.subgrid_size
-    shape = (stop, n, n, 2, 2)
+    shape = (stop, 4, n, n)
     images = (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     ).astype(np.complex64)
@@ -223,7 +223,7 @@ def test_degrid_batched_matches_per_item_driver(small_idg, small_plan,
             item.baseline, item.time_start:item.time_end,
             item.channel_start:item.channel_end,
         ] = degrid_item_fast(
-            images[index], uvw, freqs / SPEED_OF_LIGHT, offset,
+            to_pol_minor(images[index]), uvw, freqs / SPEED_OF_LIGHT, offset,
             small_idg.lmn, small_idg.taper,
         )
     batched = np.zeros_like(single_source_vis)
@@ -251,3 +251,47 @@ def test_tiny_batch_budget_still_matches(small_idg, small_plan, small_obs,
         small_idg.taper, lmn=small_idg.lmn, batch_bytes=1,
     )
     np.testing.assert_allclose(chunked, roomy, rtol=1e-12)
+
+
+@pytest.mark.parametrize("source", ["pipeline", "strided"])
+def test_degrid_gather_copies_only_its_chunk(small_idg, small_plan, small_obs,
+                                             single_source_vis, source):
+    """With one item per chunk, each chunk's gather copies that item only:
+    the degridder's transient allocations stay far below the group's
+    subgrid bytes, whether the subgrids come straight from the splitter and
+    inverse FFT or as a non-contiguous view."""
+    import tracemalloc
+
+    from repro.core.adder import split_subgrids
+    from repro.core.subgrid_fft import subgrids_to_image
+
+    stop = 128
+    assert small_plan.n_subgrids >= stop
+    rng = np.random.default_rng(11)
+    g = small_plan.gridspec.grid_size
+    grid = (rng.standard_normal((4, g, g)) + 1j * rng.standard_normal((4, g, g))).astype(
+        np.complex64
+    )
+    images = subgrids_to_image(split_subgrids(grid, small_plan, 0, stop))
+    if source == "strided":
+        wide = np.zeros((stop, 4, 2, *images.shape[2:]), dtype=images.dtype)
+        wide[:, :, 0] = images
+        images = wide[:, :, 0]
+        assert not images.flags.c_contiguous
+    arena = ScratchArena()
+    out = np.zeros_like(single_source_vis)
+
+    def degrid():
+        degrid_work_group_batched(
+            small_plan, 0, stop, images, small_obs.uvw_m, out,
+            small_idg.taper, lmn=small_idg.lmn, arena=arena, batch_bytes=1,
+        )
+
+    degrid()  # fills the arena, so the measured run allocates transients only
+    tracemalloc.start()
+    try:
+        degrid()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < images.nbytes / 8, (peak, images.nbytes)

@@ -18,7 +18,7 @@ def _random_subgrids(plan, count, seed=0):
     n = plan.subgrid_size
     rng = np.random.default_rng(seed)
     return (
-        rng.standard_normal((count, n, n, 2, 2)) + 1j * rng.standard_normal((count, n, n, 2, 2))
+        rng.standard_normal((count, 4, n, n)) + 1j * rng.standard_normal((count, 4, n, n))
     ).astype(np.complex64)
 
 
