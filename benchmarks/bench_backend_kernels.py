@@ -1,13 +1,16 @@
 """Per-backend kernel throughput, machine-readable.
 
-Times every registered kernel backend on the same work-group batch, each
-called as ``IDG`` calls it, and writes ``benchmarks/results/BENCH_kernels.json``
+Times every registered production kernel backend on the same work-group
+batch, each called as ``IDG`` calls it, and writes ``benchmarks/results/BENCH_kernels.json``
 — per-backend visibilities/s for gridding and degridding, each backend's
 speedup over ``vectorized``, the ``threads`` executor's scaling from 1 to 2
 workers with ``native``, and the configuration and host info needed to
 compare runs across machines — next to the usual ASCII table.  Every
 ``native`` call runs on one thread; the ``vectorized`` rows use the BLAS
-library's default thread count.  The CI perf-smoke job gates
+library's default thread count.  The loop-level ``reference`` oracle is
+not timed: it runs three orders of magnitude slower than ``vectorized``,
+no gate reads its throughput, and ``tests/backends/test_differential.py``
+already checks it for correctness.  The CI perf-smoke job gates
 ``native >= 2.5x vectorized`` on this JSON; humans read the table.
 """
 
@@ -27,6 +30,9 @@ from _util import RESULTS_DIR, print_series
 
 GROUP = 16
 REPEATS = 3
+
+#: Backends left out of the timed set (see the module docstring).
+UNTIMED = ("reference",)
 
 #: Work items per work group in the scaling run: the bench plan's 267
 #: subgrids make ~9 groups, enough to keep 2 workers busy.
@@ -61,6 +67,8 @@ def test_bench_backend_kernels(bench_plan, bench_obs, bench_vis, bench_idg):
     backends = {}
     rows = []
     for name in available_backends():
+        if name in UNTIMED:
+            continue
         backend = get_backend(name)
         backend.ready()
         fallback = getattr(backend, "is_fallback", False)

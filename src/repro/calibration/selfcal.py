@@ -33,10 +33,15 @@ from repro.aterms.generators import GainATerm
 from repro.aterms.schedule import ATermSchedule
 from repro.calibration.gains import corrupt_with_gains
 from repro.calibration.stefcal import stefcal
-from repro.constants import COMPLEX_DTYPE
 from repro.imaging.clean import CleanResult, hogbom_clean
+from repro.imaging.cycle import (
+    clean_threshold,
+    clean_window,
+    psf_image,
+    windowed_stats,
+)
 from repro.imaging.metrics import dynamic_range
-from repro.imaging.pipeline import FTProcessor, ImagingContext, make_ftprocessor
+from repro.imaging.pipeline import ImagingContext, make_ftprocessor
 
 __all__ = [
     "SelfCalConfig",
@@ -220,43 +225,6 @@ def gain_amplitude_error(solved: np.ndarray, true: np.ndarray) -> float:
     return float(np.abs(ratio - 1.0).max())
 
 
-def _clean_window(grid_size: int, fraction: float) -> np.ndarray | None:
-    if not (0.0 < fraction < 1.0):
-        return None
-    margin = int(round(grid_size * (1.0 - fraction) / 2.0))
-    window = np.zeros((grid_size, grid_size), dtype=bool)
-    window[margin : grid_size - margin, margin : grid_size - margin] = True
-    return window
-
-
-def _windowed_rms(image: np.ndarray, window: np.ndarray | None) -> float:
-    values = image[window] if window is not None else image
-    return float(np.sqrt((values**2).mean()))
-
-
-def _windowed_peak(image: np.ndarray, window: np.ndarray | None) -> float:
-    values = image[window] if window is not None else image
-    return float(np.abs(values).max())
-
-
-def _unit_visibilities(shape: tuple[int, ...]) -> np.ndarray:
-    unit = np.zeros(shape + (2, 2), dtype=COMPLEX_DTYPE)
-    unit[..., 0, 0] = 1.0
-    unit[..., 1, 1] = 1.0
-    return unit
-
-
-def _make_psf(processor: FTProcessor, vis_shape: tuple[int, ...]) -> np.ndarray:
-    """PSF from unit visibilities with identity A-terms, peak-normalised."""
-    unit = _unit_visibilities(vis_shape)
-    psf = processor.invert(unit, aterms=None).stokes_i
-    g = psf.shape[0]
-    peak = psf[g // 2, g // 2]
-    if peak == 0:
-        raise RuntimeError("PSF centre is zero — no visibilities were gridded")
-    return psf / peak
-
-
 def _clean_pass(
     residual_image: np.ndarray,
     psf: np.ndarray,
@@ -264,15 +232,15 @@ def _clean_pass(
     config: SelfCalConfig,
     major_gain: float | None = None,
 ) -> CleanResult:
-    rms = _windowed_rms(residual_image, window)
-    peak = _windowed_peak(residual_image, window)
+    rms, peak = windowed_stats(residual_image, window)
     gain_fraction = config.major_gain if major_gain is None else major_gain
-    threshold = max(config.threshold_factor * rms, (1.0 - gain_fraction) * peak)
     return hogbom_clean(
         residual_image,
         psf,
         gain=config.clean_gain,
-        threshold=threshold,
+        threshold=clean_threshold(
+            rms, peak, config.threshold_factor, gain_fraction
+        ),
         max_iterations=config.minor_iterations,
         window=window,
     )
@@ -349,8 +317,12 @@ def self_calibrate(
     processor = make_ftprocessor(context, kind=kind, **processor_options)
 
     g = context.idg.gridspec.grid_size
-    window = _clean_window(g, config.clean_window_fraction)
-    psf = _make_psf(processor, visibilities.shape[:3])
+    window = clean_window(g, config.clean_window_fraction)
+    # the PSF of the uncorrected gridder: unit visibilities, identity A-terms
+    psf = psf_image(
+        lambda unit: processor.invert(unit, aterms=None).stokes_i,
+        visibilities.shape[:3],
+    )
 
     gains = np.ones((n_intervals, n_stations), dtype=np.complex128)
     model = np.zeros((g, g), dtype=np.float64)
@@ -429,11 +401,12 @@ def self_calibrate(
             if true_gains is not None
             else None
         )
+        residual_rms, residual_peak = windowed_stats(residual_image, window)
         history.append(
             SelfCalIteration(
                 cycle=cycle,
-                residual_rms=_windowed_rms(residual_image, window),
-                residual_peak=_windowed_peak(residual_image, window),
+                residual_rms=residual_rms,
+                residual_peak=residual_peak,
                 dynamic_range=float(dynamic_range(model + residual_image)),
                 clean_flux=clean_flux,
                 gain_change=gain_change,

@@ -3,9 +3,10 @@
 This package implements the surrounding machinery of the paper's Fig 2: the
 imaging step (gridding + inverse FFT + grid correction), source extraction
 with Hogbom CLEAN, and the predict step (model image -> FFT -> degridding),
-iterated until the sky model converges.  IDG (or any baseline gridder with
-the same interface) slots in as the gridding/degridding pair — the "drop-in
-replacement" of Fig 4.
+iterated until the sky model converges.  Both steps exist once, behind the
+FT processors that :func:`make_ftprocessor` builds; IDG (or any baseline
+gridder with the same interface) slots in as their gridding/degridding
+pair — the "drop-in replacement" of Fig 4.
 """
 
 from repro.imaging.image import (
@@ -41,15 +42,7 @@ from repro.imaging.pipeline import (
     FTProcessor,
     ImagingContext,
     InvertResult,
-    invert_2d,
-    invert_facets,
-    invert_wstack,
-    invert_wstack_facets,
     make_ftprocessor,
-    predict_2d,
-    predict_facets,
-    predict_wstack,
-    predict_wstack_facets,
 )
 
 __all__ = [
@@ -82,13 +75,5 @@ __all__ = [
     "FTProcessor",
     "ImagingContext",
     "InvertResult",
-    "invert_2d",
-    "invert_facets",
-    "invert_wstack",
-    "invert_wstack_facets",
     "make_ftprocessor",
-    "predict_2d",
-    "predict_facets",
-    "predict_wstack",
-    "predict_wstack_facets",
 ]

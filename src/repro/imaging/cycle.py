@@ -8,26 +8,33 @@ cycle (Fig 9/14: "Distribution of runtime/energy for one full imaging
 cycle"); this module also iterates it to convergence, since that is what a
 downstream user runs.
 
-The gridder/degridder pair is pluggable: anything exposing the
-:class:`repro.core.IDG` interface (``make_plan``/``grid``/``degrid``) works,
-which is how the W-projection baseline is compared end-to-end.
+Invert and predict always run through an
+:class:`~repro.imaging.pipeline.FTProcessor`: the one passed in, or a 2-D
+:class:`~repro.imaging.pipeline.SingleFieldProcessor` over the given
+gridder.  Anything exposing the :class:`repro.core.IDG` interface
+(``make_plan``/``grid``/``degrid``) works as that gridder, which is how the
+W-projection baseline is compared end-to-end.  The PSF, CLEAN-window and
+auto-threshold helpers here are shared with
+:func:`repro.calibration.self_calibrate`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.aterms.generators import ATermGenerator
 from repro.aterms.schedule import ATermSchedule
+from repro.constants import COMPLEX_DTYPE
 from repro.core.pipeline import IDG
 from repro.core.scratch import trim_thread_arenas
 from repro.imaging.clean import CleanResult, hogbom_clean
-from repro.imaging.image import (
-    dirty_image_from_grid,
-    model_image_to_grid,
-    stokes_i_image,
+from repro.imaging.pipeline import (
+    FTProcessor,
+    ImagingContext,
+    SingleFieldProcessor,
 )
 
 
@@ -73,12 +80,58 @@ class MajorCycleResult:
         return restore_image(self.model_image, self.residual_image, psf=self.psf)
 
 
+def psf_image(
+    invert: Callable[[np.ndarray], np.ndarray], vis_shape: tuple[int, ...]
+) -> np.ndarray:
+    """PSF: the Stokes-I image ``invert`` makes of unit visibilities on the
+    ``(n_bl, T, C)`` layout ``vis_shape``, normalised to peak 1."""
+    unit = np.zeros(vis_shape + (2, 2), dtype=COMPLEX_DTYPE)
+    unit[..., 0, 0] = 1.0
+    unit[..., 1, 1] = 1.0
+    psf = invert(unit)
+    centre = psf.shape[0] // 2
+    peak = psf[centre, centre]
+    if peak == 0:
+        raise RuntimeError("PSF centre is zero — no visibilities were gridded")
+    return psf / peak
+
+
+def clean_window(grid_size: int, fraction: float) -> np.ndarray | None:
+    """Boolean mask of the central ``fraction`` of the image (``None`` —
+    the whole image — unless ``0 < fraction < 1``)."""
+    if not (0.0 < fraction < 1.0):
+        return None
+    margin = int(round(grid_size * (1.0 - fraction) / 2.0))
+    window = np.zeros((grid_size, grid_size), dtype=bool)
+    window[margin : grid_size - margin, margin : grid_size - margin] = True
+    return window
+
+
+def windowed_stats(
+    image: np.ndarray, window: np.ndarray | None
+) -> tuple[float, float]:
+    """``(rms, peak |value|)`` of an image inside a CLEAN window."""
+    values = image[window] if window is not None else image
+    return float(np.sqrt((values**2).mean())), float(np.abs(values).max())
+
+
+def clean_threshold(
+    rms: float, peak: float, threshold_factor: float, major_gain: float
+) -> float:
+    """The minor loop's auto-threshold: ``threshold_factor`` times the
+    residual rms, or the point where the peak has dropped by
+    ``major_gain`` (WSClean's ``-mgain``), whichever is higher."""
+    return max(threshold_factor * rms, (1.0 - major_gain) * peak)
+
+
 class ImagingCycle:
     """Drives major cycles over a fixed observation with a given gridder.
 
-    ``processor`` optionally replaces the direct grid/IFFT path with any
-    :class:`repro.imaging.pipeline.FTProcessor` (w-stacked, faceted, ...);
-    the major-cycle logic is identical, only invert/predict are delegated.
+    ``processor`` optionally replaces the default 2-D processor over
+    ``idg`` with any :class:`repro.imaging.pipeline.FTProcessor`
+    (w-stacked, faceted, ...); the major-cycle logic is identical either
+    way.  The default processor grids on ``idg`` itself, not on an
+    executor built by :func:`repro.imaging.pipeline.make_engine`.
     """
 
     def __init__(
@@ -89,67 +142,38 @@ class ImagingCycle:
         baselines: np.ndarray,
         aterms: ATermGenerator | None = None,
         aterm_schedule: ATermSchedule | None = None,
-        processor=None,
+        processor: FTProcessor | None = None,
     ):
         self.idg = idg
-        self.uvw_m = np.asarray(uvw_m, dtype=np.float64)
-        self.frequencies_hz = np.atleast_1d(np.asarray(frequencies_hz, dtype=np.float64))
-        self.baselines = np.asarray(baselines)
         self.aterms = aterms
-        self.processor = processor
-        if processor is not None:
-            self.plan = processor.plan
-        else:
-            self.plan = idg.make_plan(
-                self.uvw_m, self.frequencies_hz, self.baselines,
-                aterm_schedule=aterm_schedule,
+        if processor is None:
+            context = ImagingContext(
+                idg, uvw_m, frequencies_hz, baselines,
+                aterms=aterms, aterm_schedule=aterm_schedule,
             )
-        self._weight_sum = float(self.plan.statistics.n_visibilities_gridded)
+            processor = SingleFieldProcessor(context, engine=idg)
+        self.processor = processor
+        self.plan = processor.plan
+        # Only override a given processor's own A-term default when this
+        # cycle was given one explicitly.
+        self._aterm_override = {} if aterms is None else {"aterms": aterms}
 
     # ------------------------------------------------------------ building
     def make_dirty_image(self, visibilities: np.ndarray) -> np.ndarray:
         """Stokes-I dirty image of a visibility set (grid + IFFT + correct)."""
-        if self.processor is not None:
-            # Only override the processor's own A-term default when this
-            # cycle was given one explicitly.
-            if self.aterms is not None:
-                return self.processor.invert(visibilities, aterms=self.aterms).stokes_i
-            return self.processor.invert(visibilities).stokes_i
-        grid = self.idg.grid(self.plan, self.uvw_m, visibilities, aterms=self.aterms)
-        image = dirty_image_from_grid(
-            grid, self.idg.gridspec, weight_sum=self._weight_sum,
-            taper=self.idg.config.taper, taper_beta=self.idg.config.taper_beta,
-        )
-        return stokes_i_image(image)
+        return self.processor.invert(
+            visibilities, **self._aterm_override
+        ).stokes_i
 
     def make_psf(self) -> np.ndarray:
         """PSF: the image of unit visibilities, normalised to peak 1."""
-        shape = self.plan.flagged.shape + (2, 2)
-        unit = np.zeros(shape, dtype=np.complex64)
-        unit[..., 0, 0] = 1.0
-        unit[..., 1, 1] = 1.0
-        psf = self.make_dirty_image(unit)
-        centre = self.idg.gridspec.grid_size // 2
-        peak = psf[centre, centre]
-        if peak == 0:
-            raise RuntimeError("PSF centre is zero — no visibilities were gridded")
-        return psf / peak
+        return psf_image(self.make_dirty_image, self.plan.flagged.shape)
 
     def predict(self, model_image_stokes_i: np.ndarray) -> np.ndarray:
         """Predict visibilities of a Stokes-I model image (FFT + degrid)."""
-        if self.processor is not None:
-            if self.aterms is not None:
-                return self.processor.predict(model_image_stokes_i, aterms=self.aterms)
-            return self.processor.predict(model_image_stokes_i)
-        g = self.idg.gridspec.grid_size
-        model4 = np.zeros((4, g, g), dtype=np.complex128)
-        model4[0] = model_image_stokes_i  # XX = YY = I (B = I*eye convention)
-        model4[3] = model_image_stokes_i
-        grid = model_image_to_grid(
-            model4, self.idg.gridspec,
-            taper=self.idg.config.taper, taper_beta=self.idg.config.taper_beta,
+        return self.processor.predict(
+            model_image_stokes_i, **self._aterm_override
         )
-        return self.idg.degrid(self.plan, self.uvw_m, grid, aterms=self.aterms)
 
     # ------------------------------------------------------------- driving
     def run(
@@ -178,34 +202,21 @@ class ImagingCycle:
         exact degridding predict of the next major cycle resynchronises the
         residual.
         """
-        psf = self.make_psf()
-        residual_vis = np.array(visibilities, copy=True)
-        g = self.idg.gridspec.grid_size
-        model = np.zeros((g, g), dtype=np.float64)
-        window = None
-        if 0.0 < clean_window_fraction < 1.0:
-            margin = int(round(g * (1.0 - clean_window_fraction) / 2.0))
-            window = np.zeros((g, g), dtype=bool)
-            window[margin : g - margin, margin : g - margin] = True
-        cycles: list[CleanResult] = []
-        rms_history: list[float] = []
-        residual_image = self.make_dirty_image(residual_vis)
-
-        def windowed_rms(image: np.ndarray) -> float:
-            values = image[window] if window is not None else image
-            return float(np.sqrt((values**2).mean()))
-
         if not (0.0 < major_gain <= 1.0):
             raise ValueError("major_gain must be in (0, 1]")
+        psf = self.make_psf()
+        g = psf.shape[0]
+        model = np.zeros((g, g), dtype=np.float64)
+        window = clean_window(g, clean_window_fraction)
+        cycles: list[CleanResult] = []
+        rms_history: list[float] = []
+        residual_image = self.make_dirty_image(visibilities)
+
         for _ in range(n_major):
-            rms = windowed_rms(residual_image)
-            peak = float(
-                np.abs(residual_image[window] if window is not None else residual_image).max()
-            )
-            threshold = max(threshold_factor * rms, (1.0 - major_gain) * peak)
+            rms, peak = windowed_stats(residual_image, window)
             result = hogbom_clean(
                 residual_image, psf, gain=gain,
-                threshold=threshold,
+                threshold=clean_threshold(rms, peak, threshold_factor, major_gain),
                 max_iterations=minor_iterations,
                 window=window,
             )
@@ -217,7 +228,7 @@ class ImagingCycle:
             predicted = self.predict(model)
             residual_vis = np.asarray(visibilities) - predicted
             residual_image = self.make_dirty_image(residual_vis)
-            rms_history.append(windowed_rms(residual_image))
+            rms_history.append(windowed_stats(residual_image, window)[0])
             # The gridding/degridding above is quiescent here; shrink the
             # scratch arenas to this cycle's working set so one oversized
             # early bucket doesn't pin its peak footprint for the whole run.

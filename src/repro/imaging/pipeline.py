@@ -1,19 +1,23 @@
 """Pluggable invert/predict pipeline: 2-D, w-stacked, faceted imaging.
 
-This is the repo's equivalent of ARL's ``ftprocessor``: a single
-:class:`FTProcessor` contract — ``invert`` (visibilities → normalised image)
-and ``predict`` (model image → visibilities) — with four interchangeable
-implementations:
+This is the repo's equivalent of ARL's ``ftprocessor`` and the only 2-D
+invert/predict in the package: a single :class:`FTProcessor` contract —
+``invert`` (visibilities → normalised image) and ``predict`` (model image
+→ visibilities) — built by :func:`make_ftprocessor` in one of four kinds:
 
-* :class:`TwoDimFTProcessor`      — plain IDG on the master grid
-  (``invert_2d`` / ``predict_2d``);
-* :class:`WStackFTProcessor`      — IDG under w-stacking
-  (:func:`repro.core.wstack.split_plan_by_w` layers,
-  ``invert_wstack`` / ``predict_wstack``);
-* :class:`FacetsFTProcessor`      — phase-rotated facets, plain IDG per
-  facet (``invert_facets`` / ``predict_facets``);
-* :class:`WStackFacetsFTProcessor`— w-stacking inside every facet
-  (``invert_wstack_facets`` / ``predict_wstack_facets``).
+* ``"2d"``            — plain IDG on the master grid;
+* ``"wstack"``        — IDG under w-stacking
+  (:func:`repro.core.wstack.split_plan_by_w` layers);
+* ``"facets"``        — phase-rotated facets, plain IDG per facet;
+* ``"wstack_facets"`` — w-stacking inside every facet.
+
+Two classes implement them: :class:`SingleFieldProcessor` (the un-faceted
+kinds) and :class:`FacetedProcessor` (one field per facet tile), both
+assembled from the same single-field core.
+:class:`~repro.imaging.cycle.ImagingCycle`,
+:class:`~repro.imaging.spectral.SpectralImager` and
+:func:`~repro.calibration.self_calibrate` all invert and predict through
+them.
 
 Every variant uses IDG as the inner gridder — through **any** of the four
 executors (serial / threads / streaming / processes), selected on the
@@ -63,29 +67,19 @@ from repro.imaging.image import (
 from repro.imaging.weighting import apply_weights
 from repro.kernels.fft import centered_fft2, centered_ifft2
 from repro.kernels.spheroidal import grid_correction
-from repro.kernels.wkernel import n_term
+from repro.kernels.wkernel import w_kernel_image
 
 __all__ = [
     "EXECUTORS",
     "FTProcessor",
-    "FacetsFTProcessor",
+    "FacetedProcessor",
     "ImagingContext",
     "InvertResult",
-    "TwoDimFTProcessor",
-    "WStackFTProcessor",
-    "WStackFacetsFTProcessor",
-    "invert_2d",
-    "invert_facets",
-    "invert_wstack",
-    "invert_wstack_facets",
+    "SingleFieldProcessor",
     "make_engine",
     "make_ftprocessor",
     "plan_coverage",
     "plan_weight_sum",
-    "predict_2d",
-    "predict_facets",
-    "predict_wstack",
-    "predict_wstack_facets",
 ]
 
 #: Executor names an :class:`ImagingContext` accepts.
@@ -283,10 +277,10 @@ def _weighted(
 class _Field:
     """One phase centre: a grid (master or facet) with optional w layers.
 
-    This is the shared core all four processors are assembled from: the
-    2-D variants use a layer-less field, the w-stack variants split the
-    field's plan into :class:`~repro.core.wstack.WLayer` sub-plans; the
-    facet variants run one field per tile on the facet grid.
+    This is the shared core both processors are assembled from: the 2-D
+    kinds use a layer-less field, the w-stack kinds split the field's plan
+    into :class:`~repro.core.wstack.WLayer` sub-plans; the facet kinds run
+    one field per tile on the facet grid.
     """
 
     def __init__(
@@ -315,14 +309,6 @@ class _Field:
 
     # -- helpers (hoisted out of the layer loops: IDG002/IDG003 style) -----
 
-    def _w_screen(self, w: float, sign: float) -> np.ndarray:
-        """Image-domain w correction on this field's raster."""
-        gs = self.idg.gridspec
-        g = gs.grid_size
-        coords = (np.arange(g) - g // 2) * (gs.image_size / g)
-        n = n_term(coords[np.newaxis, :], coords[:, np.newaxis])
-        return np.exp(sign * 2.0j * np.pi * w * n)
-
     def _grid_correction(self) -> np.ndarray:
         return grid_correction(
             self.idg.gridspec.grid_size,
@@ -338,12 +324,13 @@ class _Field:
         flags: np.ndarray | None,
     ) -> np.ndarray:
         """One layer's raw (unnormalised) w-corrected image."""
-        g = self.idg.gridspec.grid_size
+        gs = self.idg.gridspec
+        g = gs.grid_size
         grid = self.engine.grid(
             layer.plan, self.uvw_m, visibilities, aterms=aterms, flags=flags
         )
         image = centered_ifft2(grid, axes=(-2, -1)) * (g * g)
-        return image * self._w_screen(layer.w_centre, sign=+1.0)
+        return image * w_kernel_image(layer.w_centre, g, gs.image_size, sign=+1.0)
 
     def _layer_predict(
         self,
@@ -352,7 +339,10 @@ class _Field:
         aterms: ATermGenerator | None,
     ) -> np.ndarray:
         """One layer's predicted visibilities (disjoint blocks per layer)."""
-        screened = pre_corrected * self._w_screen(layer.w_centre, sign=-1.0)
+        gs = self.idg.gridspec
+        screened = pre_corrected * w_kernel_image(
+            layer.w_centre, gs.grid_size, gs.image_size, sign=-1.0
+        )
         grid = centered_fft2(screened, axes=(-2, -1)).astype(COMPLEX_DTYPE)
         return self.engine.degrid(layer.plan, self.uvw_m, grid, aterms=aterms)
 
@@ -423,6 +413,9 @@ class _Field:
 class FTProcessor(Protocol):
     """The invert/predict contract every processor implements."""
 
+    @property
+    def plan(self) -> Plan: ...
+
     def invert(
         self,
         visibilities: np.ndarray,
@@ -438,14 +431,31 @@ class FTProcessor(Protocol):
     ) -> np.ndarray: ...
 
 
-class _SingleFieldProcessor:
-    """Shared implementation of the un-faceted processors."""
+def _resolve_aterms(
+    ctx: ImagingContext, override: ATermGenerator | None
+) -> ATermGenerator | None:
+    return ctx.aterms if override is _UNSET else override
 
-    def __init__(self, ctx: ImagingContext, n_w_planes: int | None):
+
+class SingleFieldProcessor:
+    """The un-faceted kinds: one field on the master grid, either plain IDG
+    (``n_w_planes=None``, w handled exactly per subgrid) or IDG under
+    w-stacking (paper Section IV).
+
+    ``engine`` runs every grid/degrid: :func:`make_ftprocessor` passes
+    ``ctx.engine()``, :class:`~repro.imaging.cycle.ImagingCycle` its own
+    gridder.  ``n_w_planes == 1`` is a single mean-w layer: plain IDG up to
+    a constant w shift the screen exactly undoes — kept on the layered path
+    so the kind stays honest about its math.
+    """
+
+    def __init__(
+        self, ctx: ImagingContext, engine: Any, n_w_planes: int | None = None
+    ):
         self.ctx = ctx
         self._field = _Field(
             ctx.idg,
-            ctx.engine(),
+            engine,
             ctx.uvw_m,
             ctx.frequencies_hz,
             ctx.baselines,
@@ -458,9 +468,6 @@ class _SingleFieldProcessor:
         """The master-grid execution plan (shape/weight bookkeeping)."""
         return self._field.plan
 
-    def _aterms(self, override: ATermGenerator | None) -> ATermGenerator | None:
-        return self.ctx.aterms if override is _UNSET else override
-
     def invert(
         self,
         visibilities: np.ndarray,
@@ -470,7 +477,10 @@ class _SingleFieldProcessor:
     ) -> InvertResult:
         weight_sum = self._field.weight_sum(weights, flags)
         image = self._field.invert(
-            _weighted(visibilities, weights), self._aterms(aterms), flags, weight_sum
+            _weighted(visibilities, weights),
+            _resolve_aterms(self.ctx, aterms),
+            flags,
+            weight_sum,
         )
         return InvertResult(image=image, weight_sum=weight_sum)
 
@@ -480,35 +490,13 @@ class _SingleFieldProcessor:
         aterms: ATermGenerator | None = _UNSET,
     ) -> np.ndarray:
         model4 = _as_model4(model_image, self.ctx.idg.gridspec.grid_size)
-        return self._field.predict(model4, self._aterms(aterms))
+        return self._field.predict(model4, _resolve_aterms(self.ctx, aterms))
 
 
-class TwoDimFTProcessor(_SingleFieldProcessor):
-    """Plain IDG on the master grid (w handled exactly per subgrid)."""
-
-    kind = "2d"
-
-    def __init__(self, ctx: ImagingContext):
-        super().__init__(ctx, n_w_planes=None)
-
-
-class WStackFTProcessor(_SingleFieldProcessor):
-    """IDG + w-stacking on the master grid (paper Section IV)."""
-
-    kind = "wstack"
-
-    def __init__(self, ctx: ImagingContext, n_w_planes: int = 4):
-        if n_w_planes <= 0:
-            raise ValueError("n_w_planes must be positive")
-        # n_w_planes == 1 is a single mean-w layer: plain IDG up to a
-        # constant w shift the screen exactly undoes — kept on the layered
-        # path so the variant stays honest about its math.
-        super().__init__(ctx, n_w_planes=n_w_planes)
-        self.n_w_planes = n_w_planes
-
-
-class _FacetedProcessor:
-    """Shared implementation of the faceted processors.
+class FacetedProcessor:
+    """The faceted kinds: phase-rotated facets, each imaged by plain IDG
+    (``n_w_planes=None``) or w-stacking — the full wide-field decomposition
+    (w planes x facets).
 
     All facets share the facet grid geometry and executor engine (same
     pixel scale, same uv extent), but each facet grids with its own
@@ -548,9 +536,6 @@ class _FacetedProcessor:
         """The first facet's execution plan (shape/weight bookkeeping; all
         facets share the visibility layout)."""
         return self._fields[0].plan
-
-    def _aterms(self, override: ATermGenerator | None) -> ATermGenerator | None:
-        return self.ctx.aterms if override is _UNSET else override
 
     # -- per-facet helpers (loop bodies live here, not in the loop) --------
 
@@ -606,7 +591,7 @@ class _FacetedProcessor:
         aterms: ATermGenerator | None = _UNSET,
     ) -> InvertResult:
         weighted = _weighted(visibilities, weights)
-        aterms_ = self._aterms(aterms)
+        aterms_ = _resolve_aterms(self.ctx, aterms)
         g = self.scheme.master.grid_size
         mosaic = np.zeros((4, g, g), dtype=ACCUM_DTYPE)
         # each facet normalises by its own gridded weight (the uv shift can
@@ -626,7 +611,7 @@ class _FacetedProcessor:
         aterms: ATermGenerator | None = _UNSET,
     ) -> np.ndarray:
         model4 = _as_model4(model_image, self.scheme.master.grid_size)
-        aterms_ = self._aterms(aterms)
+        aterms_ = _resolve_aterms(self.ctx, aterms)
         n_bl, n_times, _ = self.ctx.uvw_m.shape
         out = np.zeros(
             (n_bl, n_times, self.ctx.frequencies_hz.size, 2, 2),
@@ -639,137 +624,35 @@ class _FacetedProcessor:
         return out
 
 
-class FacetsFTProcessor(_FacetedProcessor):
-    """Phase-rotated facets, plain IDG inside each (exact per-subgrid w)."""
-
-    kind = "facets"
-
-    def __init__(self, ctx: ImagingContext, n_facets: int = 2, padding: float = 1.5):
-        super().__init__(ctx, n_facets, n_w_planes=None, padding=padding)
-
-
-class WStackFacetsFTProcessor(_FacetedProcessor):
-    """W-stacking inside every phase-rotated facet — the full wide-field
-    decomposition (w planes x facets)."""
-
-    kind = "wstack_facets"
-
-    def __init__(
-        self,
-        ctx: ImagingContext,
-        n_facets: int = 2,
-        n_w_planes: int = 4,
-        padding: float = 1.5,
-    ):
-        if n_w_planes <= 0:
-            raise ValueError("n_w_planes must be positive")
-        super().__init__(ctx, n_facets, n_w_planes=n_w_planes, padding=padding)
-        self.n_w_planes = n_w_planes
-
-
-_PROCESSORS: Final = {
-    "2d": TwoDimFTProcessor,
-    "wstack": WStackFTProcessor,
-    "facets": FacetsFTProcessor,
-    "wstack_facets": WStackFacetsFTProcessor,
+#: Each kind's options and their defaults.
+_KINDS: Final = {
+    "2d": {},
+    "wstack": {"n_w_planes": 4},
+    "facets": {"n_facets": 2, "padding": 1.5},
+    "wstack_facets": {"n_facets": 2, "n_w_planes": 4, "padding": 1.5},
 }
 
 
 def make_ftprocessor(ctx: ImagingContext, kind: str = "2d", **options: Any) -> FTProcessor:
-    """Build a processor by name (``2d``/``wstack``/``facets``/
-    ``wstack_facets``); ``options`` forward to the constructor
-    (``n_w_planes``, ``n_facets``, ``padding``)."""
+    """Build a processor by kind (``2d``/``wstack``/``facets``/
+    ``wstack_facets``); ``options`` override the kind's defaults
+    (``n_w_planes=4``, ``n_facets=2``, ``padding=1.5``) and must apply to
+    it.  Every grid/degrid runs on ``ctx.engine()``."""
     try:
-        cls = _PROCESSORS[kind]
+        defaults = _KINDS[kind]
     except KeyError:
         raise ValueError(
-            f"kind must be one of {sorted(_PROCESSORS)}, got {kind!r}"
+            f"kind must be one of {sorted(_KINDS)}, got {kind!r}"
         ) from None
-    return cls(ctx, **options)
-
-
-# ------------------------------------------------- functional conveniences
-
-
-def invert_2d(ctx: ImagingContext, visibilities: np.ndarray, **kw: Any) -> InvertResult:
-    """One-shot plain-IDG invert (see :class:`TwoDimFTProcessor`)."""
-    return TwoDimFTProcessor(ctx).invert(visibilities, **kw)
-
-
-def predict_2d(ctx: ImagingContext, model_image: np.ndarray, **kw: Any) -> np.ndarray:
-    """One-shot plain-IDG predict."""
-    return TwoDimFTProcessor(ctx).predict(model_image, **kw)
-
-
-def invert_wstack(
-    ctx: ImagingContext,
-    visibilities: np.ndarray,
-    n_w_planes: int = 4,
-    **kw: Any,
-) -> InvertResult:
-    """One-shot w-stacked invert."""
-    return WStackFTProcessor(ctx, n_w_planes=n_w_planes).invert(visibilities, **kw)
-
-
-def predict_wstack(
-    ctx: ImagingContext,
-    model_image: np.ndarray,
-    n_w_planes: int = 4,
-    **kw: Any,
-) -> np.ndarray:
-    """One-shot w-stacked predict."""
-    return WStackFTProcessor(ctx, n_w_planes=n_w_planes).predict(model_image, **kw)
-
-
-def invert_facets(
-    ctx: ImagingContext,
-    visibilities: np.ndarray,
-    n_facets: int = 2,
-    padding: float = 1.5,
-    **kw: Any,
-) -> InvertResult:
-    """One-shot faceted invert."""
-    return FacetsFTProcessor(ctx, n_facets=n_facets, padding=padding).invert(
-        visibilities, **kw
-    )
-
-
-def predict_facets(
-    ctx: ImagingContext,
-    model_image: np.ndarray,
-    n_facets: int = 2,
-    padding: float = 1.5,
-    **kw: Any,
-) -> np.ndarray:
-    """One-shot faceted predict."""
-    return FacetsFTProcessor(ctx, n_facets=n_facets, padding=padding).predict(
-        model_image, **kw
-    )
-
-
-def invert_wstack_facets(
-    ctx: ImagingContext,
-    visibilities: np.ndarray,
-    n_facets: int = 2,
-    n_w_planes: int = 4,
-    padding: float = 1.5,
-    **kw: Any,
-) -> InvertResult:
-    """One-shot w-planes x facets invert."""
-    return WStackFacetsFTProcessor(
-        ctx, n_facets=n_facets, n_w_planes=n_w_planes, padding=padding
-    ).invert(visibilities, **kw)
-
-
-def predict_wstack_facets(
-    ctx: ImagingContext,
-    model_image: np.ndarray,
-    n_facets: int = 2,
-    n_w_planes: int = 4,
-    padding: float = 1.5,
-    **kw: Any,
-) -> np.ndarray:
-    """One-shot w-planes x facets predict."""
-    return WStackFacetsFTProcessor(
-        ctx, n_facets=n_facets, n_w_planes=n_w_planes, padding=padding
-    ).predict(model_image, **kw)
+    unknown = sorted(set(options) - set(defaults))
+    if unknown:
+        raise TypeError(f"kind {kind!r} takes no option(s) {unknown}")
+    chosen = {**defaults, **options}
+    n_w_planes = chosen.get("n_w_planes")
+    if "n_w_planes" in chosen and not n_w_planes > 0:
+        raise ValueError("n_w_planes must be positive")
+    if "n_facets" in chosen:
+        return FacetedProcessor(
+            ctx, chosen["n_facets"], n_w_planes, chosen["padding"]
+        )
+    return SingleFieldProcessor(ctx, ctx.engine(), n_w_planes)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.imaging.pipeline as pipeline
+from repro.core.pipeline import IDG
 from repro.imaging.cycle import ImagingCycle
 from repro.imaging.image import find_peak
 from repro.sky.model import SkyModel
@@ -95,3 +97,38 @@ def test_restored_product(cycle, single_source_vis, snapped_source, small_gridsp
     row, col = round(m0 / dl) + g // 2, round(l0 / dl) + g // 2
     assert restored[row, col] == pytest.approx(flux, rel=0.1)
     assert beam.fwhm_major_px >= beam.fwhm_minor_px > 0
+
+
+def test_bad_major_gain_raises_before_any_gridding(small_idg, small_obs,
+                                                   small_baselines,
+                                                   single_source_vis,
+                                                   monkeypatch):
+    idg = IDG(small_idg.gridspec, small_idg.config)
+    calls = []
+    grid = idg.grid
+    monkeypatch.setattr(idg, "grid",
+                        lambda *a, **k: calls.append(1) or grid(*a, **k))
+    cycle = ImagingCycle(
+        idg, small_obs.uvw_m, small_obs.frequencies_hz, small_baselines
+    )
+    for bad in (0.0, 1.5):
+        with pytest.raises(ValueError, match="major_gain"):
+            cycle.run(single_source_vis, n_major=1, major_gain=bad)
+    assert calls == []
+
+
+def test_default_processor_grids_on_idg_itself(small_idg, small_obs,
+                                               small_baselines,
+                                               single_source_vis, monkeypatch):
+    """The default 2-D processor grids on the given gridder itself and
+    builds no executor through ``make_engine`` (a tracer that wraps both
+    would otherwise see every grid call twice)."""
+    calls = []
+    make_engine = pipeline.make_engine
+    monkeypatch.setattr(pipeline, "make_engine",
+                        lambda *a, **k: calls.append(1) or make_engine(*a, **k))
+    cycle = ImagingCycle(
+        small_idg, small_obs.uvw_m, small_obs.frequencies_hz, small_baselines
+    )
+    cycle.run(single_source_vis, n_major=1, minor_iterations=20)
+    assert calls == []

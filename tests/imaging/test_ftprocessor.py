@@ -6,19 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import IDG, IDGConfig
-from repro.imaging.cycle import ImagingCycle
+from repro.imaging.cycle import ImagingCycle, psf_image
 from repro.imaging.pipeline import (
     ImagingContext,
-    invert_2d,
-    invert_facets,
-    invert_wstack,
-    invert_wstack_facets,
     make_ftprocessor,
     plan_coverage,
-    predict_2d,
-    predict_facets,
-    predict_wstack,
-    predict_wstack_facets,
 )
 from repro.sky.model import SkyModel
 from repro.sky.simulate import predict_visibilities
@@ -65,24 +57,10 @@ def _source_pixel(setup):
     return row, col
 
 
-INVERTS = {
-    "2d": invert_2d,
-    "wstack": invert_wstack,
-    "facets": invert_facets,
-    "wstack_facets": invert_wstack_facets,
-}
-PREDICTS = {
-    "2d": predict_2d,
-    "wstack": predict_wstack,
-    "facets": predict_facets,
-    "wstack_facets": predict_wstack_facets,
-}
-
-
 @pytest.mark.parametrize("kind", KINDS)
 def test_invert_recovers_source_flux(setup, kind):
     ctx = _context(setup)
-    image = INVERTS[kind](ctx, setup[4]).stokes_i
+    image = make_ftprocessor(ctx, kind).invert(setup[4]).stokes_i
     row, col = _source_pixel(setup)
     peak = image[row, col]
     assert peak == pytest.approx(5.0, rel=0.05)
@@ -101,8 +79,8 @@ def test_invert_agrees_with_2d_at_zero_w(setup, kind):
     the source and loose agreement globally.
     """
     ctx = _context(setup, zero_w=True)
-    reference = invert_2d(ctx, setup[4]).stokes_i
-    image = INVERTS[kind](ctx, setup[4]).stokes_i
+    reference = make_ftprocessor(ctx, "2d").invert(setup[4]).stokes_i
+    image = make_ftprocessor(ctx, kind).invert(setup[4]).stokes_i
     peak = float(np.abs(reference).max())
     difference = np.abs(image - reference)
     if kind == "wstack":
@@ -122,7 +100,7 @@ def test_predict_agrees_with_2d_at_zero_w(setup, kind):
     processor = make_ftprocessor(ctx, kind="2d")
     covered = plan_coverage(processor.plan)
     reference = processor.predict(model)[..., 0, 0][covered]
-    predicted = PREDICTS[kind](ctx, model)[..., 0, 0][covered]
+    predicted = make_ftprocessor(ctx, kind).predict(model)[..., 0, 0][covered]
     assert np.abs(predicted - reference).max() < 0.02 * np.abs(reference).max()
 
 
@@ -143,16 +121,23 @@ def test_predict_matches_direct_evaluation(setup, kind):
 
 
 def test_invert_matches_imaging_cycle_dirty_path(setup):
-    """The 2-D processor is the same math as ImagingCycle's direct path."""
+    """ImagingCycle's default processor is the 2-D processor, bit for bit:
+    dirty image, PSF and predict."""
     obs, idg, baselines, _, vis = setup
-    ctx = _context(setup)
+    processor = make_ftprocessor(_context(setup), kind="2d")
     cycle = ImagingCycle(idg, obs.uvw_m, obs.frequencies_hz, baselines)
-    direct = cycle.make_dirty_image(vis)
-    result = invert_2d(ctx, vis)
-    np.testing.assert_allclose(result.stokes_i, direct, atol=1e-6)
-    assert result.weight_sum == pytest.approx(
-        float(cycle.plan.statistics.n_visibilities_gridded)
+    result = processor.invert(vis)
+    np.testing.assert_array_equal(cycle.make_dirty_image(vis), result.stokes_i)
+    np.testing.assert_array_equal(
+        cycle.make_psf(),
+        psf_image(lambda unit: processor.invert(unit).stokes_i,
+                  processor.plan.flagged.shape),
     )
+    row, col = _source_pixel(setup)
+    model = np.zeros((GRID, GRID))
+    model[row, col] = 5.0
+    np.testing.assert_array_equal(cycle.predict(model), processor.predict(model))
+    assert result.weight_sum == float(cycle.plan.statistics.n_visibilities_gridded)
 
 
 def test_imaging_cycle_delegates_to_processor(setup):
@@ -174,9 +159,10 @@ def test_imaging_cycle_delegates_to_processor(setup):
 def test_uniform_weights_cancel_in_normalisation(setup):
     ctx = _context(setup)
     vis = setup[4]
-    plain = invert_2d(ctx, vis)
+    processor = make_ftprocessor(ctx, kind="2d")
+    plain = processor.invert(vis)
     weights = np.full(vis.shape[:3], 2.0)
-    weighted = invert_2d(ctx, vis, weights=weights)
+    weighted = processor.invert(vis, weights=weights)
     np.testing.assert_allclose(
         weighted.stokes_i, plain.stokes_i, atol=1e-6
     )
@@ -190,7 +176,7 @@ def test_flags_exclude_samples(setup):
     flags[0] = True
     # corrupt the flagged block: it must not leak into the image
     vis[0] = 1e6
-    image = invert_2d(ctx, vis, flags=flags).stokes_i
+    image = make_ftprocessor(ctx, kind="2d").invert(vis, flags=flags).stokes_i
     row, col = _source_pixel(setup)
     assert image[row, col] == pytest.approx(5.0, rel=0.05)
 
@@ -199,6 +185,21 @@ def test_make_ftprocessor_rejects_unknown_kind(setup):
     ctx = _context(setup)
     with pytest.raises(ValueError, match="kind"):
         make_ftprocessor(ctx, kind="chirp-z")
+
+
+@pytest.mark.parametrize("kind, option", [
+    ("2d", "n_w_planes"), ("2d", "n_facets"), ("wstack", "n_facets"),
+    ("wstack", "padding"), ("facets", "n_w_planes"), ("wstack_facets", "chirp"),
+])
+def test_make_ftprocessor_rejects_options_of_other_kinds(setup, kind, option):
+    with pytest.raises(TypeError, match=option):
+        make_ftprocessor(_context(setup), kind=kind, **{option: 2})
+
+
+@pytest.mark.parametrize("kind", ["wstack", "wstack_facets"])
+def test_make_ftprocessor_rejects_non_positive_w_planes(setup, kind):
+    with pytest.raises(ValueError, match="n_w_planes"):
+        make_ftprocessor(_context(setup), kind=kind, n_w_planes=0)
 
 
 def test_context_rejects_unknown_executor(setup):

@@ -108,8 +108,7 @@ def test_spectral_index_validation(spectral_setup):
 
 
 def test_ftprocessor_kind_matches_direct_path(spectral_setup):
-    """kind="2d" routes through the FTProcessor pipeline but computes the
-    same image as the direct gridding path."""
+    """The default kind (None) is the 2-D processor, bit for bit."""
     base, subbands, gridspec, idg, (l0, m0) = spectral_setup
     sb = subbands[0]
     sky = SkyModel.single(l0, m0, flux=2.0)
@@ -118,9 +117,14 @@ def test_ftprocessor_kind_matches_direct_path(spectral_setup):
     )
     direct = SpectralImager(idg).image_subband(sb, vis)
     piped = SpectralImager(idg, kind="2d").image_subband(sb, vis)
-    np.testing.assert_allclose(piped.image, direct.image, atol=1e-6)
-    assert piped.weight == pytest.approx(direct.weight)
+    np.testing.assert_array_equal(piped.image, direct.image)
+    assert piped.weight == direct.weight
     assert piped.frequency_hz == direct.frequency_hz
+    weights = np.linspace(0.5, 2.0, vis[..., 0, 0].size).reshape(vis.shape[:3])
+    direct = SpectralImager(idg).image_subband(sb, vis, weights=weights)
+    piped = SpectralImager(idg, kind="2d").image_subband(sb, vis, weights=weights)
+    np.testing.assert_array_equal(piped.image, direct.image)
+    assert piped.weight == direct.weight
 
 
 def test_wstack_kind_recovers_source(spectral_setup):
